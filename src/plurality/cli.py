@@ -11,9 +11,10 @@ Four subcommands:
                       against the scenario it came from.
 ``inspect-tree``      print the block tree recorded in a trace.
 
-Exit codes: 0 success, 1 usage/file/parse errors, 2 discord was found
-(``run``) or the replay failed (``check-certificate``), 3 the
-certificate's conflict set is not minimal.
+Exit codes: 0 success, 1 usage/file/parse errors or a resource limit
+hit while auditing, 2 discord was found (``run``) or the replay failed
+(``check-certificate``), 3 the certificate's conflict set is not
+minimal.
 
 The trace directory defaults to the current directory and can be
 redirected with ``--trace`` or the ``PLURALITY_TRACE_DIR`` environment
@@ -38,7 +39,7 @@ from .certificates import (
     check_minimality,
     replay_refutation,
 )
-from .logic import claim_text
+from .logic import ResourceLimit, claim_text
 from .runtime import TRACE_FORMAT, ConsistencyError, Engine, trace_human, trace_text
 from .syntax import ParseError, parse_formula, parse_scenario
 
@@ -192,6 +193,8 @@ def cmd_check_certificate(args) -> int:
     except NotMinimal as e:
         print(f"conflict set is not minimal: {e}")
         return EXIT_NOT_MINIMAL
+    except ResourceLimit as e:
+        return _err(f"resource limit: {e}")
     print(f"certificate verified: {claim_text(cert.candidate)}")
     print(f"conflicts with {len(cert.conflict)} stored claim(s)")
     print(f"accountable: {', '.join(cert.authorities)}")

@@ -290,13 +290,24 @@ class PredicateDef:
 
 @dataclass
 class DefinitionSet:
-    """Domains, defined symbols and integrity constraints of a scenario."""
+    """Domains, defined symbols and integrity constraints of a scenario.
+
+    ``refute`` caches, per ``(formula, max_clauses)``, what it derives
+    from one claim body or constraint alone: the formula's ground atom
+    keys in first-occurrence order and its non-tautological clauses over
+    local 1-based atom ids.  The cache is never invalidated, so it relies
+    on one rule: the parser is the only code that mutates a
+    DefinitionSet, and it finishes before the first ``refute``.
+    """
 
     domains: dict[str, tuple[Value, ...]] = field(default_factory=dict)
     functions: dict[str, FunctionDef] = field(default_factory=dict)
     predicates: dict[str, PredicateDef] = field(default_factory=dict)
     atoms: dict[str, int] = field(default_factory=dict)  # open atoms: name -> arity
     constraints: tuple[Formula, ...] = ()
+    _clause_cache: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def domain_members(self, name: str) -> tuple[Value, ...]:
         try:
@@ -722,8 +733,7 @@ class _AtomTable:
         self.index: dict[str, int] = {}
         self.names: list[str] = []
 
-    def id_of(self, f: Formula) -> int:
-        key = atom_key(f)
+    def id_of(self, key: str) -> int:
         got = self.index.get(key)
         if got is None:
             got = len(self.names)
@@ -766,9 +776,9 @@ def _clauses(f: Formula, table: _AtomTable, budget: int) -> list[frozenset[int]]
     if isinstance(f, FalseF):
         return [frozenset()]
     if isinstance(f, (Atom, Cmp, Says)):
-        return [frozenset({table.id_of(f) + 1})]
+        return [frozenset({table.id_of(atom_key(f)) + 1})]
     if isinstance(f, Not):
-        return [frozenset({-(table.id_of(f.sub) + 1)})]
+        return [frozenset({-(table.id_of(atom_key(f.sub)) + 1)})]
     if isinstance(f, And):
         return _clauses(f.lhs, table, budget) + _clauses(f.rhs, table, budget)
     if isinstance(f, Or):
@@ -789,6 +799,21 @@ def _clauses(f: Formula, table: _AtomTable, budget: int) -> list[frozenset[int]]
 
 def _is_tautology(clause: frozenset[int]) -> bool:
     return any(-lit in clause for lit in clause)
+
+
+def _formula_clauses(f: Formula, defs: DefinitionSet, budget: int):
+    """Atom keys and non-tautological clauses of ``f``, over local ids.
+
+    Memoized on ``defs``; a formula that raises is not cached.
+    """
+    key = (f, budget)
+    got = defs._clause_cache.get(key)
+    if got is None:
+        local = _AtomTable()
+        clauses = _clauses(_nnf(ground_expand(f, defs), False), local, budget)
+        got = (local.names, [cl for cl in clauses if not _is_tautology(cl)])
+        defs._clause_cache[key] = got
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -856,10 +881,10 @@ def refute(
     inputs: list[tuple[tuple, frozenset[int]]] = []
 
     def clausify(source: tuple, body: Formula):
-        residual = ground_expand(body, defs)
-        for cl in _clauses(_nnf(residual, False), table, max_clauses):
-            if not _is_tautology(cl):
-                inputs.append((source, cl))
+        names, clauses = _formula_clauses(body, defs, max_clauses)
+        ids = [0] + [table.id_of(k) + 1 for k in names]
+        for cl in clauses:
+            inputs.append((source, frozenset(ids[l] if l > 0 else -ids[-l] for l in cl)))
         if len(table) > max_atoms:
             raise ResourceLimit(
                 f"{len(table)} ground atoms exceeds the configured cap {max_atoms}"

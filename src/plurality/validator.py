@@ -315,8 +315,9 @@ class ValidationResult:
     """Outcome of validating one payload against one chain.
 
     ``reason`` is None on success, else one of "AppendConditions",
-    "GuardFalse" or "Discord"; a discord result carries the minimized
-    certificate.
+    "GuardFalse", "Discord" or "ResourceLimit" (the discord check could
+    not be decided within its limits, or raised another logic error); a
+    discord result carries the minimized certificate.
     """
 
     ok: bool
@@ -401,7 +402,10 @@ class Validator:
         defs = self.scenario.contract.defs
         store = list(state.claims)
         for cand in candidates:
-            admitted, cert = proof_of_discord(store, defs.constraints, cand, defs)
+            try:
+                admitted, cert = proof_of_discord(store, defs.constraints, cand, defs)
+            except LogicError as e:
+                return ValidationResult(False, "ResourceLimit", str(e))
             if not admitted:
                 accountable = ", ".join(cert.authorities)
                 return ValidationResult(

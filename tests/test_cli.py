@@ -235,6 +235,23 @@ def test_check_certificate_detects_padded_conflict(tmp_path, capsys):
     assert out.startswith("conflict set is not minimal")
 
 
+def test_check_certificate_resource_limit_is_a_clean_error(tmp_path, capsys):
+    # A constraint over 25 fresh atoms is tautological, so the engine's
+    # certificate never cites it, but the minimality audit enumerates it.
+    cert = certificate_from_run(tmp_path, capsys, "evidential_discord")
+    members = ", ".join(f"m{i}" for i in range(25))
+    widened = tmp_path / "evidential_discord.plu"
+    widened.write_text(
+        (SCENARIOS / "evidential_discord.plu").read_text()
+        + f"domain Big = {{ {members} }}\natom mark(x)\n"
+        + "constraint forall x in Big . mark(x) | !mark(x)\n"
+    )
+    code, out, err = run_cli(capsys, "check-certificate", str(cert), str(widened))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == "plurality: resource limit: 25 atoms exceeds enumeration limit 22\n"
+
+
 def test_check_certificate_rejects_malformed_file(tmp_path, capsys):
     bogus = tmp_path / "bogus.json"
     bogus.write_text("{ not json")

@@ -11,6 +11,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plurality.logic import (
     FALSE,
@@ -381,6 +383,9 @@ def test_atom_universe_cap():
     )
     with pytest.raises(ResourceLimit):
         refute((), (), Claim("O", body), d, max_atoms=64)
+    # the clauses are cached now; the cap must still apply to the merge
+    with pytest.raises(ResourceLimit):
+        refute((), (), Claim("O", body), d, max_atoms=64)
 
 
 # --- engine vs. exhaustive oracle ------------------------------------------
@@ -421,6 +426,50 @@ def test_refute_agrees_with_enumeration_small():
         folded = [c.body for c in claims] + list(constraints) + [cand.body]
         oracle = brute_force_satisfiable(folded, d)
         assert (engine is None) == (oracle is not None)
+
+
+# --- the per-formula clause cache on DefinitionSet ---------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_warm_cache_gives_the_cold_refutation(seed):
+    rng = random.Random(seed)
+    names = [f"g{i}" for i in range(rng.randrange(2, 7))]
+    claims = tuple(
+        Claim(f"O{i}", random_ground_formula(rng, names, rng.randrange(1, 4)), origin=f"b{i}")
+        for i in range(rng.randrange(0, 5))
+    )
+    constraints = tuple(
+        random_ground_formula(rng, names, rng.randrange(1, 3))
+        for _ in range(rng.randrange(0, 2))
+    )
+    cand = Claim("Oc", random_ground_formula(rng, names, rng.randrange(1, 4)))
+    warm = DefinitionSet(atoms={n: 0 for n in names})
+    # fill the cache from calls that number the atoms in another order
+    store_consistent(claims[::-1], constraints, warm)
+    refute((), (), cand, warm)
+    cold = DefinitionSet(atoms={n: 0 for n in names})
+    assert refute(claims, constraints, cand, warm) == refute(claims, constraints, cand, cold)
+
+
+def test_failed_grounding_is_not_cached():
+    d = basic_defs()
+    cand = Claim("O", Atom("undeclared", (Constant("A"),)))
+    for _ in range(2):
+        with pytest.raises(UnknownSymbol):
+            refute((), (), cand, d)
+
+
+def test_cache_is_per_definition_set():
+    # same formula, same domain name, different members: no shared entry
+    constraint = ForAll("x", "D", Atom("p", (Var("x"),)))
+    cand = Claim("O", Not(Atom("p", (Constant("b"),))))
+    for order in ((1, 2), (2, 1)):
+        defs = {n: DefinitionSet(domains={"D": ("a", "b")[:n]}, atoms={"p": 1}) for n in order}
+        for n in order:
+            refuted = refute((), (constraint,), cand, defs[n]) is not None
+            assert refuted == (n == 2)
 
 
 # ---------------------------------------------------------------------------

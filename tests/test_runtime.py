@@ -222,6 +222,34 @@ def test_discord_rejection_carries_certificate():
     assert finals(doc) == {"W": 50, "A": 0}
 
 
+def claims_source(n: int, d: int) -> str:
+    """n claims st(ik, v0) at tick 0, one conflicting claim at tick 1."""
+    items = ", ".join(f"i{k}" for k in range(n))
+    vals = ", ".join(f"v{j}" for j in range(d))
+    lines = [
+        "oracle O",
+        f"domain Items = {{ {items} }}",
+        f"domain Vals = {{ {vals} }}",
+        "atom st(item, val)",
+        "constraint forall c in Items . forall u in Vals . forall w in Vals .",
+        "  (st(c, u) & st(c, w)) -> u = w",
+    ]
+    lines += [f"at 0 claim s{k} = O: st(i{k}, v0)" for k in range(n)]
+    lines.append(f"at 1 claim d = O: st(i{n - 1}, v1)")
+    return "\n".join(lines) + "\n"
+
+
+def test_atom_cap_becomes_a_recorded_rejection():
+    # 200 items x 3 values ground to 600 atoms, over refute's cap of 512
+    eng, doc = run(claims_source(200, 3))
+    rejects = events_of(doc, "reject")
+    assert len(rejects) == 201
+    assert {e["reason"] for e in rejects} == {"ResourceLimit"}
+    assert "600 ground atoms exceeds the configured cap 512" in rejects[0]["detail"]
+    assert all(r["stage"] == REJECTED for r in doc["records"])
+    assert eng.certificates == []
+
+
 def test_scripted_claim_of_time_oracle():
     src = """
 agent W balance 50

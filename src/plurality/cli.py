@@ -11,10 +11,9 @@ Four subcommands:
                       against the scenario it came from.
 ``inspect-tree``      print the block tree recorded in a trace.
 
-Exit codes: 0 success, 1 usage/file/parse errors or a resource limit
-hit while auditing, 2 discord was found (``run``) or the replay failed
-(``check-certificate``), 3 the certificate's conflict set is not
-minimal.
+Exit codes: 0 success, 1 usage/file/parse errors, 2 discord was found
+(``run``) or the replay failed (``check-certificate``), 3 the
+certificate's conflict set is not minimal.
 
 The trace directory defaults to the current directory and can be
 redirected with ``--trace`` or the ``PLURALITY_TRACE_DIR`` environment
@@ -39,7 +38,7 @@ from .certificates import (
     check_minimality,
     replay_refutation,
 )
-from .logic import ResourceLimit, claim_text
+from .logic import claim_text
 from .runtime import TRACE_FORMAT, ConsistencyError, Engine, trace_human, trace_text
 from .syntax import ParseError, parse_formula, parse_scenario
 
@@ -189,17 +188,13 @@ def cmd_check_certificate(args) -> int:
         print(f"replay failed: {e}")
         return EXIT_DISCORD
     try:
-        audited = check_minimality(cert, constraints, defs)
+        check_minimality(cert, constraints, defs)
     except NotMinimal as e:
         print(f"conflict set is not minimal: {e}")
         return EXIT_NOT_MINIMAL
-    except ResourceLimit as e:
-        return _err(f"resource limit: {e}")
     print(f"certificate verified: {claim_text(cert.candidate)}")
     print(f"conflicts with {len(cert.conflict)} stored claim(s)")
     print(f"accountable: {', '.join(cert.authorities)}")
-    if not audited:
-        print("minimality audit skipped: conflict exceeds the enumeration limit")
     return EXIT_OK
 
 

@@ -706,8 +706,8 @@ def brute_force_satisfiable(
     """Exhaustive truth-assignment search; returns a model or None.
 
     Deliberately naive — this is the independent oracle that the
-    resolution engine is checked against, and the workhorse behind
-    certificate minimality auditing.
+    resolution engine and the certificate auditor are checked against
+    in the tests.
     """
     trees = [ground_expand(f, defs) for f in formulas]
     keys: dict[str, None] = {}

@@ -36,13 +36,14 @@ from .logic import (
     IntLit,
     LogicError,
     Model,
+    NotInConflict,
     Says,
     Value,
     claim_text,
     evaluate,
     formula_text,
     minimize_conflict,
-    refute,
+    refute,  # not called here; perfbench/test_smoke.py reads plurality.validator.refute
     store_consistent,
 )
 from .syntax import (
@@ -291,9 +292,10 @@ def proof_of_discord(claims, constraints, candidate: Claim, defs):
     ``(False, certificate)`` with a minimized discord certificate when
     the store plus constraints prove its negation.
     """
-    if refute(tuple(claims), tuple(constraints), candidate, defs) is None:
+    try:
+        return False, minimize_conflict(claims, constraints, candidate, defs)
+    except NotInConflict:
         return True, None
-    return False, minimize_conflict(tuple(claims), tuple(constraints), candidate, defs)
 
 
 def chain_claims_consistent(tree, scenario: Scenario) -> bool:

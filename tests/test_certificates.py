@@ -7,10 +7,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plurality.certificates import (
     NotMinimal,
     ReplayFailed,
+    _Audit,
     certificate_from_text,
     certificate_to_doc,
     certificate_to_text,
@@ -19,8 +22,13 @@ from plurality.certificates import (
     replay_refutation,
 )
 from plurality.logic import (
+    Atom,
     Claim,
     DefinitionSet,
+    DiscordCertificate,
+    Not,
+    atom_key,
+    brute_force_satisfiable,
     minimize_conflict,
     refute,
     store_consistent,
@@ -131,25 +139,45 @@ def test_replay_rejects_truncated_trace():
         replay_refutation(tampered, CTX.defs.constraints, CTX.defs)
 
 
-def test_padded_conflict_is_flagged():
-    cert = rank_conflict()
-    pad = Claim("Omega_Y", _parse("q"), origin="block-p")
-    padded = dataclasses.replace(
+def with_member(cert, pad: Claim):
+    """The certificate with one more conflict member; its proof still replays."""
+    return dataclasses.replace(
         cert,
         conflict=cert.conflict + (pad,),
         refutation=dataclasses.replace(
             cert.refutation, used_claims=cert.refutation.used_claims + (pad,)
         ),
     )
+
+
+def test_padded_conflict_is_flagged():
+    cert = rank_conflict()
+    pad = Claim("Omega_Y", _parse("q"), origin="block-p")
+    padded = with_member(cert, pad)
     replay_refutation(padded, CTX.defs.constraints, CTX.defs)  # proof still replays
     with pytest.raises(NotMinimal):
         check_minimality(padded, CTX.defs.constraints, CTX.defs)
 
 
-def test_minimality_audit_skips_oversized_conflicts():
-    cert = rank_conflict()
-    assert check_minimality(cert, CTX.defs.constraints, CTX.defs, limit=0) is False
-    assert check_minimality(cert, CTX.defs.constraints, CTX.defs) is True
+def test_minimality_audits_conflicts_over_eight_members():
+    # the constraint forbids all ten atoms at once: nine stored claims
+    # plus the candidate make a minimal conflict of nine stored members
+    names = [f"a{i}" for i in range(10)]
+    ctx = parse_contract(
+        "".join(f"atom {n}\n" for n in names + ["q"])
+        + "constraint !(" + " & ".join(names) + ")\n"
+    )
+    d = ctx.defs
+    stored = tuple(
+        Claim(f"O{i}", parse_formula(n, ctx), origin=f"b{i}") for i, n in enumerate(names[:-1])
+    )
+    cert = minimize_conflict(stored, d.constraints, Claim("Oc", parse_formula("a9", ctx)), d)
+    assert len(cert.conflict) == 9
+    check_certificate(cert, d.constraints, d)
+    pad = Claim("Oq", parse_formula("q", ctx), origin="b-q")
+    padded = with_member(cert, pad)
+    with pytest.raises(NotMinimal, match="without claim Oq: q"):
+        check_certificate(padded, d.constraints, d)
 
 
 def test_self_contradiction_certificate():
@@ -189,3 +217,69 @@ def test_replay_randomized_certificates():
         replay_refutation(back, (), d)
         replayed += 1
     assert replayed > 15
+
+
+# --- the audit's search against exhaustive enumeration -----------------------
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def random_ground_set(rng: random.Random, most: int):
+    names = [f"g{i}" for i in range(rng.randrange(1, 6))]
+    bodies = [random_ground_formula(rng, names, rng.randrange(1, 4)) for _ in range(most)]
+    return names, DefinitionSet(atoms={n: 0 for n in names}), bodies
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS)
+def test_search_agrees_with_enumeration(seed):
+    rng = random.Random(seed)
+    names, d, formulas = random_ground_set(rng, rng.randrange(0, 5))
+    audit = _Audit(d)
+    assert audit.satisfiable(formulas) == (brute_force_satisfiable(formulas, d) is not None)
+    # under a partial assignment, the way the entailment check asks
+    fixed = {n: rng.random() < 0.5 for n in rng.sample(names, rng.randrange(len(names) + 1))}
+    literals = [Atom(n) if v else Not(Atom(n)) for n, v in fixed.items()]
+    want = brute_force_satisfiable(formulas + literals, d) is not None
+    ids = {audit.id_of(atom_key(Atom(n))): v for n, v in fixed.items()}
+    assert audit.satisfiable(formulas, ids) == want
+
+
+def test_drop_one_minimality_matches_subset_enumeration():
+    rng = random.Random(2024)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        names, d, bodies = random_ground_set(rng, rng.randrange(2, 7))
+        members = [Claim(f"O{i}", b, origin=f"b{i}") for i, b in enumerate(bodies[1:])]
+        constraints = tuple(bodies[:1])
+        cert = DiscordCertificate(members[0], tuple(members[1:]), refutation=None)
+        n = len(members)
+        every_proper_subset_sat = all(
+            brute_force_satisfiable(
+                [m.body for i, m in enumerate(members) if mask >> i & 1] + list(constraints), d
+            )
+            is not None
+            for mask in range((1 << n) - 1)
+        )
+        try:
+            check_minimality(cert, constraints, d)
+            minimal = True
+        except NotMinimal:
+            minimal = False
+        assert minimal == every_proper_subset_sat
+        if brute_force_satisfiable([m.body for m in members] + list(constraints), d) is None:
+            verdicts[minimal] += 1  # count only sets that really conflict
+    assert min(verdicts.values()) > 20
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_minimized_certificates_pass_the_audit(seed):
+    rng = random.Random(seed)
+    names, d, bodies = random_ground_set(rng, rng.randrange(2, 7))
+    cand = Claim("Oc", bodies[0])
+    constraints = tuple(bodies[1:2])
+    claims = tuple(Claim(f"O{i}", b, origin=f"b{i}") for i, b in enumerate(bodies[2:]))
+    if not store_consistent(claims, constraints, d) or refute(claims, constraints, cand, d) is None:
+        return
+    check_certificate(minimize_conflict(claims, constraints, cand, d), constraints, d)

@@ -8,6 +8,7 @@ temporary directory.
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -235,9 +236,9 @@ def test_check_certificate_detects_padded_conflict(tmp_path, capsys):
     assert out.startswith("conflict set is not minimal")
 
 
-def test_check_certificate_resource_limit_is_a_clean_error(tmp_path, capsys):
+def test_check_certificate_audits_a_wide_constraint(tmp_path, capsys):
     # A constraint over 25 fresh atoms is tautological, so the engine's
-    # certificate never cites it, but the minimality audit enumerates it.
+    # certificate never cites it, but the minimality audit must load it.
     cert = certificate_from_run(tmp_path, capsys, "evidential_discord")
     members = ", ".join(f"m{i}" for i in range(25))
     widened = tmp_path / "evidential_discord.plu"
@@ -247,9 +248,42 @@ def test_check_certificate_resource_limit_is_a_clean_error(tmp_path, capsys):
         + "constraint forall x in Big . mark(x) | !mark(x)\n"
     )
     code, out, err = run_cli(capsys, "check-certificate", str(cert), str(widened))
-    assert code == EXIT_ERROR
-    assert out == ""
-    assert err == "plurality: resource limit: 25 atoms exceeds enumeration limit 22\n"
+    assert code == EXIT_OK
+    assert err == ""
+    assert out.startswith("certificate verified:")
+
+
+def claims_scenario(items: int, values: int) -> str:
+    """One value per item; every item gets v0, then the last item gets v1."""
+    names = ", ".join(f"i{i}" for i in range(items))
+    vals = ", ".join(f"v{j}" for j in range(values))
+    lines = [
+        "oracle O",
+        f"domain Items = {{ {names} }}",
+        f"domain Vals = {{ {vals} }}",
+        "atom st(item, val)",
+        "constraint forall c in Items . forall u in Vals . forall w in Vals .",
+        "  (st(c, u) & st(c, w)) -> u = w",
+    ]
+    lines += [f"at 0 claim s{i} = O: st(i{i}, v0)" for i in range(items)]
+    lines.append(f"at 1 claim d = O: st(i{items - 1}, v1)")
+    return "\n".join(lines) + "\n"
+
+
+def test_check_certificate_is_fast_on_claims_12x2(tmp_path, capsys):
+    # Enumerating all 24 ground atoms of the constraint used to take minutes.
+    scenario = tmp_path / "claims.plu"
+    scenario.write_text(claims_scenario(12, 2))
+    trace = tmp_path / "claims.trace.json"
+    code, _, _ = run_cli(capsys, "run", str(scenario), "--trace", str(trace))
+    assert code == EXIT_DISCORD
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "check-certificate", str(tmp_path / "claims.cert-0.json"), str(scenario)
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK
+    assert "certificate verified: claim O: st(i11, v1)" in out
 
 
 def test_check_certificate_rejects_malformed_file(tmp_path, capsys):

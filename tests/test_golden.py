@@ -12,14 +12,20 @@ check-certificate`` before committing them:
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
 from plurality.blocktree import OracleConfig
-from plurality.certificates import certificate_to_text
+from plurality.certificates import (
+    ReplayFailed,
+    certificate_from_text,
+    certificate_to_text,
+    check_certificate,
+)
 from plurality.runtime import Engine, trace_text
-from plurality.syntax import parse_scenario
+from plurality.syntax import parse_formula, parse_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -66,6 +72,29 @@ def test_golden_bytes(name, seed, oracle):
     assert stored == sorted(fresh), "golden file set differs"
     for fname, text in fresh.items():
         assert (GOLDEN / fname).read_text(encoding="utf-8") == text, fname
+
+
+CERTIFICATES = sorted(GOLDEN.glob("*.cert-*.json"))
+
+
+def audit(name: str, text: str) -> None:
+    """Check one certificate text against the scenario it came from."""
+    scenario = parse_scenario((SCENARIOS / f"{name}.plu").read_text(encoding="utf-8"), name=name)
+    cert = certificate_from_text(text, lambda s: parse_formula(s, scenario))
+    defs = scenario.contract.defs
+    check_certificate(cert, defs.constraints, defs)
+
+
+@pytest.mark.parametrize("path", CERTIFICATES, ids=[p.name for p in CERTIFICATES])
+def test_golden_certificate_passes_the_audit(path):
+    name = path.name.split(".", 1)[0]
+    text = path.read_text(encoding="utf-8")
+    audit(name, text)
+    doc = json.loads(text)
+    step = next(s for s in doc["refutation"]["steps"] if s.get("source") == "candidate")
+    step["clause"] = sorted(-lit for lit in step["clause"])
+    with pytest.raises(ReplayFailed):
+        audit(name, json.dumps(doc))
 
 
 if __name__ == "__main__":

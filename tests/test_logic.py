@@ -365,6 +365,18 @@ def test_self_contradictory_candidate():
     assert all(s.source != ("claim", 0) for s in r.steps if s.rule == "input")
 
 
+def test_tautological_clauses_stay_out_of_refutations():
+    # (p | !p) & q clausifies to {p, -p} and {q}; only {q} may enter the
+    # search, so the two input clauses fit a budget of two clauses
+    d = basic_defs()
+    stored = Claim("Omega_Y", And(Or(Atom("p"), Not(Atom("p"))), Atom("q")), origin="b1")
+    cand = Claim("Omega_X", Not(Atom("q")))
+    r = refute((stored,), (), cand, d, max_clauses=2)
+    assert r is not None
+    inputs = [set(s.clause) for s in r.steps if s.rule == "input"]
+    assert inputs and not any(-lit in clause for clause in inputs for lit in clause)
+
+
 def test_refutation_is_deterministic():
     d = one_rank_per_position()
     first = Claim("Omega_s", rank_eq("A", 1), origin="b-a")

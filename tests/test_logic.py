@@ -8,7 +8,9 @@ against brute-force subset enumeration.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -440,6 +442,56 @@ def test_refute_agrees_with_enumeration_small():
         assert (engine is None) == (oracle is not None)
 
 
+# --- Davis-Putnam elimination pinned by recorded refutations ----------------
+
+REFUTATIONS = Path(__file__).resolve().parent / "fixtures" / "refutations.json"
+# Seeds whose refutation, when the fixture was recorded, resolved at least
+# 20 clauses, skipped at least 10 subsumed resolvents and kept at least 5
+# resolution steps in the proof.
+ELIMINATION_SEEDS = (
+    1, 5, 8, 14, 19, 21, 24, 38, 40, 51, 53, 57, 61, 62, 77, 81, 84, 85, 86, 87,
+    89, 93, 97, 99, 100, 101, 103, 109, 110, 114, 116, 124, 128, 134, 135, 141,
+    144, 145, 154, 158,
+)
+
+
+def elimination_case(seed: int):
+    """A store of wide claims over 8-16 atoms and a candidate it refutes."""
+    rng = random.Random(seed)
+    names = [f"g{i}" for i in range(rng.randrange(8, 17))]
+    defs = DefinitionSet(atoms={n: 0 for n in names})
+
+    def wide():
+        return Or(random_ground_formula(rng, names, 2), random_ground_formula(rng, names, 2))
+
+    claims = tuple(Claim(f"O{i}", wide(), origin=f"b{i}") for i in range(rng.randrange(15, 30)))
+    constraints = tuple(wide() for _ in range(rng.randrange(0, 3)))
+    cand = Claim("Oc", random_ground_formula(rng, names, 3))
+    return claims, constraints, cand, defs
+
+
+def refutation_doc(seed: int) -> dict:
+    claims, constraints, cand, defs = elimination_case(seed)
+    r = refute(claims, constraints, cand, defs)
+    assert r is not None and r.conclusion == Not(cand.body)
+    return {
+        "claims": [claims.index(c) for c in r.used_claims],
+        "constraints": [constraints.index(g) for g in r.used_constraints],
+        "atoms": list(r.atoms),
+        "steps": [
+            [s.rule, list(s.clause), s.source and list(s.source), s.premises and list(s.premises)]
+            for s in r.steps
+        ],
+    }
+
+
+def test_elimination_gives_the_recorded_refutations():
+    recorded = json.loads(REFUTATIONS.read_text(encoding="utf-8"))
+    assert sorted(map(int, recorded)) == sorted(ELIMINATION_SEEDS)
+    for seed in ELIMINATION_SEEDS:
+        assert refutation_doc(seed) == recorded[str(seed)], seed
+
+
 # --- the per-formula clause cache on DefinitionSet ---------------------------
 
 
@@ -563,3 +615,11 @@ def test_store_consistency_probe():
 def test_claim_rendering():
     c = Claim("Omega_s", rank_eq("A", 1))
     assert claim_text(c) == "claim Omega_s: (rank(C, A) = 1)"
+
+
+if __name__ == "__main__":
+    # Rewrites the recorded refutations; a change to them is a change of
+    # the elimination's output, like a golden-file update.
+    REFUTATIONS.parent.mkdir(exist_ok=True)
+    docs = {str(seed): refutation_doc(seed) for seed in ELIMINATION_SEEDS}
+    REFUTATIONS.write_text(json.dumps(docs, indent=1) + "\n", encoding="utf-8")

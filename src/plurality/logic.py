@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections.abc import Mapping, Set as AbstractSet
 from dataclasses import dataclass, field
 
 
@@ -67,32 +68,32 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constant(Term):
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntLit(Term):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgentRef(Term):
     agent: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BalanceOf(Term):
     wallet: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FnApp(Term):
     name: str
     args: tuple[Term, ...]
@@ -106,67 +107,67 @@ class Formula:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FalseF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom(Formula):
     name: str
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cmp(Formula):
     op: str  # "=", "!=", "<", "<=", ">", ">="
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForAll(Formula):
     var: str
     domain: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists(Formula):
     var: str
     domain: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Says(Formula):
     """Authority endorsement used in accountability bookkeeping.
 
@@ -186,7 +187,7 @@ FALSE = FalseF()
 CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Claim:
     """A formula endorsed by an accountable authority."""
 
@@ -335,8 +336,8 @@ RESERVED_ATOMS = {"updates": 3, "published": 1, "valid": 1}
 class Model:
     """Concrete chain state a closed guard is evaluated against."""
 
-    balances: dict[str, int] = field(default_factory=dict)
-    asserted: set[tuple[str, tuple[Value, ...]]] = field(default_factory=set)
+    balances: Mapping[str, int] = field(default_factory=dict)
+    asserted: AbstractSet[tuple[str, tuple[Value, ...]]] = field(default_factory=set)
     clock: int = 0
 
 
@@ -874,6 +875,18 @@ def refute(
     atom universe — chosen over DPLL because bucket elimination yields
     a ground resolution trace directly, and the trace is the product
     that matters: certificates must replay without the search engine.
+
+    Variables are eliminated in atom-number order.  The live clauses are
+    kept in an occurrence index: each literal maps to the live clauses
+    holding it, in the order they became live (inputs in input order,
+    then resolvents in the order they were derived).  Eliminating a
+    variable therefore touches only its own clauses, and a resolvent is
+    tested for subsumption only against the live clauses that share one
+    of its literals (no live clause is empty, so a subsuming clause
+    always shares one).  Every clause becomes live after all clauses
+    already live, so each bucket lists its clauses in the order of the
+    whole live list, and the resolvents, proof steps and atom numbers
+    are those of a scan over that list.
     """
     claims = tuple(claims)
     constraints = tuple(constraints)
@@ -898,7 +911,8 @@ def refute(
 
     steps: list[ProofStep] = []
     clause_step: dict[frozenset[int], int] = {}
-    active: list[frozenset[int]] = []
+    # literal -> the live clauses holding it, as an insertion-ordered set
+    occurs: dict[int, dict[frozenset[int], None]] = {}
 
     def record(rule, clause, source=None, premises=None) -> int:
         idx = len(steps)
@@ -908,39 +922,46 @@ def refute(
         clause_step[clause] = idx
         return idx
 
+    def make_live(clause: frozenset[int]):
+        for lit in clause:
+            occurs.setdefault(lit, {})[clause] = None
+
+    def subsumed(r: frozenset[int]) -> bool:
+        return any(s <= r for lit in r for s in occurs.get(lit, ()))
+
     empty_at: int | None = None
     for source, cl in inputs:
         if cl in clause_step:
             continue  # duplicate clause: first source wins
-        record("input", cl, source=source)
-        active.append(cl)
+        idx = record("input", cl, source=source)
         if not cl:
-            empty_at = clause_step[cl]
+            empty_at = idx
             break
+        make_live(cl)
 
     if empty_at is None:
         for var in range(1, len(table) + 1):
-            pos = [c for c in active if var in c]
-            neg = [c for c in active if -var in c]
-            rest = [c for c in active if var not in c and -var not in c]
-            fresh: list[frozenset[int]] = []
+            pos = list(occurs.pop(var, ()))
+            neg = list(occurs.pop(-var, ()))
+            for c in pos + neg:  # no longer live; they could not subsume anyway
+                for lit in c:
+                    if lit != var and lit != -var:
+                        del occurs[lit][c]
             for p in pos:
+                p_rest = p - {var}
                 for n in neg:
-                    r = (p - {var}) | (n - {-var})
-                    if _is_tautology(r) or r in clause_step:
-                        continue
-                    if any(s <= r for s in rest) or any(s <= r for s in fresh):
-                        continue  # subsumed; a stronger clause survives
-                    record("resolve", r, premises=(clause_step[p], clause_step[n]))
-                    fresh.append(r)
+                    r = p_rest | (n - {-var})
+                    if _is_tautology(r) or r in clause_step or subsumed(r):
+                        continue  # a tautology, known already, or subsumed by a live clause
+                    idx = record("resolve", r, premises=(clause_step[p], clause_step[n]))
                     if not r:
-                        empty_at = clause_step[r]
+                        empty_at = idx
                         break
+                    make_live(r)
                 if empty_at is not None:
                     break
             if empty_at is not None:
                 break
-            active = rest + fresh
             if len(clause_step) > max_clauses:
                 raise ResourceLimit("clause budget exceeded during elimination")
 

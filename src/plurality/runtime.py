@@ -286,7 +286,7 @@ class Engine:
                     continue
                 if last_attempt.get(a.binding, -1) >= self._publish_serial:
                     continue
-                if any(d not in state.published for d in a.deps):
+                if any(d not in state.published_names for d in a.deps):
                     continue
                 ready.append(a.binding)
             if not ready:

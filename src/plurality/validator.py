@@ -23,7 +23,10 @@ is always relative to the chain a payload tries to extend.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from types import MappingProxyType
 
 from .logic import (
     AgentRef,
@@ -97,6 +100,16 @@ class TransactionPayload:
         tx = self.action.transaction
         return f"tx {self.action.binding}: {tx.source} -({tx.amount})-> {tx.sink}"
 
+    @cached_property
+    def update(self) -> Atom:
+        """The balance update this transfer causes, built once per payload.
+
+        The candidate validated before the append and the claim every
+        later fold of the chain stores share this one formula.
+        """
+        tx = self.action.transaction
+        return Atom("updates", (AgentRef(tx.source), IntLit(tx.amount), AgentRef(tx.sink)))
+
     def claims(self, origin: str) -> tuple[Claim, ...]:
         """The claims this payload adds to the chain's store.
 
@@ -104,16 +117,7 @@ class TransactionPayload:
         a claimed guard additionally stores its authority's claim.
         """
         tx = self.action.transaction
-        out = [
-            Claim(
-                tx.source,
-                Atom(
-                    "updates",
-                    (AgentRef(tx.source), IntLit(tx.amount), AgentRef(tx.sink)),
-                ),
-                origin=origin,
-            )
-        ]
+        out = [Claim(tx.source, self.update, origin=origin)]
         if isinstance(tx.guard, ClaimedGuard):
             out.append(replace(tx.guard.claim, origin=origin))
         return tuple(out)
@@ -179,21 +183,27 @@ def account(action: Action) -> TransactionFormula:
 # Chain state
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainState:
     """Everything a chain asserts, folded from genesis to one block.
 
     ``asserted`` holds the closed-world bookkeeping atoms (``updates``,
     ``published`` and scenario facts) that closed guards may test;
     claim bodies never enter it.  ``clock`` is the tick at which the
-    head block was appended.
+    head block was appended.  A state is immutable, so a closed guard
+    reads it without a copy.
     """
 
-    balances: dict[str, int] = field(default_factory=dict)
+    balances: Mapping[str, int] = field(default_factory=dict)
     published: tuple[str, ...] = ()
     claims: tuple[Claim, ...] = ()
     clock: int = 0
-    asserted: set[tuple[str, tuple[Value, ...]]] = field(default_factory=set)
+    asserted: frozenset[tuple[str, tuple[Value, ...]]] = frozenset()
+
+    @cached_property
+    def published_names(self) -> frozenset[str]:
+        """``published`` as a set, for membership tests."""
+        return frozenset(self.published)
 
 
 def compute_state(tree, head_id: str, facts=()) -> ChainState:
@@ -224,26 +234,16 @@ def compute_state(tree, head_id: str, facts=()) -> ChainState:
         else:
             raise ValidatorError(f"unrecognized payload kind {type(p).__name__}")
     return ChainState(
-        balances=balances,
+        balances=MappingProxyType(balances),
         published=tuple(published),
         claims=tuple(claims),
         clock=tree.append_tick(head_id),
-        asserted=asserted,
+        asserted=frozenset(asserted),
     )
 
 
 # ---------------------------------------------------------------------------
 # Append conditions
-
-
-@dataclass(frozen=True)
-class PAppChecks:
-    """Individually toggleable structural append conditions."""
-
-    unique_binding: bool = True
-    dependencies_met: bool = True
-    sufficient_balance: bool = True
-    positive_amount: bool = True
 
 
 @dataclass(frozen=True)
@@ -253,28 +253,26 @@ class PAppResult:
     detail: str | None = None
 
 
-def check_append(action: Action, state: ChainState, checks: PAppChecks = PAppChecks()) -> PAppResult:
+def check_append(action: Action, state: ChainState) -> PAppResult:
     """Structural admissibility of an action against a chain state."""
     tx = action.transaction
-    if checks.unique_binding and action.binding in state.published:
+    if action.binding in state.published_names:
         return PAppResult(
             False, "DuplicateBinding", f"binding {action.binding!r} is already published"
         )
-    if checks.dependencies_met:
-        for dep in action.deps:
-            if dep not in state.published:
-                return PAppResult(
-                    False, "UnmetDependency", f"dependency {dep!r} is not yet published"
-                )
-    if checks.sufficient_balance:
-        held = state.balances.get(tx.source, 0)
-        if held < tx.amount:
+    for dep in action.deps:
+        if dep not in state.published_names:
             return PAppResult(
-                False,
-                "InsufficientBalance",
-                f"{tx.source} holds {held}, needs {tx.amount}",
+                False, "UnmetDependency", f"dependency {dep!r} is not yet published"
             )
-    if checks.positive_amount and tx.amount <= 0:
+    held = state.balances.get(tx.source, 0)
+    if held < tx.amount:
+        return PAppResult(
+            False,
+            "InsufficientBalance",
+            f"{tx.source} holds {held}, needs {tx.amount}",
+        )
+    if tx.amount <= 0:
         return PAppResult(
             False, "NonPositiveAmount", f"amount {tx.amount} is not positive"
         )
@@ -339,18 +337,10 @@ class Validator:
     so rejections can be reported with their reason and certificate.
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        tree,
-        *,
-        tick: int = 0,
-        checks: PAppChecks | None = None,
-    ):
+    def __init__(self, scenario: Scenario, tree, *, tick: int = 0):
         self.scenario = scenario
         self.tree = tree
         self.tick = tick
-        self.checks = checks or PAppChecks()
         self.last_result: ValidationResult | None = None
 
     def __call__(self, payload, target) -> bool:
@@ -372,18 +362,14 @@ class Validator:
     def _transaction(self, payload: TransactionPayload, state: ChainState) -> ValidationResult:
         action = payload.action
         defs = self.scenario.contract.defs
-        structural = check_append(action, state, self.checks)
+        structural = check_append(action, state)
         if not structural.ok:
             return ValidationResult(
                 False, "AppendConditions", f"{structural.code}: {structural.detail}"
             )
         tx = action.transaction
         if isinstance(tx.guard, ClosedGuard):
-            model = Model(
-                balances=dict(state.balances),
-                asserted=set(state.asserted),
-                clock=self.tick,
-            )
+            model = Model(balances=state.balances, asserted=state.asserted, clock=self.tick)
             try:
                 holds = evaluate(tx.guard.formula, model, defs)
             except LogicError as e:

@@ -379,6 +379,16 @@ def test_tautological_clauses_stay_out_of_refutations():
     assert inputs and not any(-lit in clause for clause in inputs for lit in clause)
 
 
+def test_subsumed_resolvents_stay_out_of_the_search():
+    # eliminating a from {a, b} and {!a, c} gives {b, c}, which the live
+    # unit {c} subsumes through c, not through b; the three input clauses
+    # then fit a budget of three clauses
+    d = DefinitionSet(atoms={"a": 0, "b": 0, "c": 0})
+    a, b, c = Atom("a"), Atom("b"), Atom("c")
+    store = [Claim("O", f, origin=f"b{i}") for i, f in enumerate((Or(a, b), Or(Not(a), c), c))]
+    assert store_consistent(store, (), d, max_clauses=3)
+
+
 def test_refutation_is_deterministic():
     d = one_rank_per_position()
     first = Claim("Omega_s", rank_eq("A", 1), origin="b-a")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plurality.blocktree import BlockTree, OracleConfig, ValidationFailed, block_id
 from plurality.logic import (
@@ -20,7 +22,6 @@ from plurality.validator import (
     ChainState,
     ClaimPayload,
     GenesisPayload,
-    PAppChecks,
     TransactionPayload,
     Validator,
     account,
@@ -198,6 +199,82 @@ def test_compute_state_random_folds_match_reference():
         assert sum(st.balances.values()) == 300  # conservation
 
 
+def attach(bt, parent: str, payload, tick: int) -> str:
+    """Commit ``payload`` under any block of a prodigal tree."""
+    bid = block_id(payload.canonical(), parent)
+    bt.commit(bt.oracle.grant(parent, bid), payload, tick=tick)
+    return bid
+
+
+def fold_from_genesis(bt, head: str, facts) -> dict:
+    """Every ChainState field, folded here from genesis."""
+    balances: dict[str, int] = {}
+    published: list[str] = []
+    claims: list[Claim] = []
+    asserted = {(name, tuple(args)) for name, args in facts}
+    for bid in bt.chain_to(head):
+        p = bt.block(bid).payload
+        if isinstance(p, GenesisPayload):
+            balances = dict(p.balances)
+        elif isinstance(p, TransactionPayload):
+            tx = p.action.transaction
+            balances[tx.source] -= tx.amount
+            balances[tx.sink] += tx.amount
+            published.append(p.action.binding)
+            asserted.add(("updates", (tx.source, tx.amount, tx.sink)))
+            asserted.add(("published", (p.action.binding,)))
+            claims += p.claims(bid)
+        else:
+            published.append(p.label)
+            asserted.add(("published", (p.label,)))
+            claims.append(Claim(p.claim.authority, p.claim.body, origin=bid))
+    return {
+        "balances": balances,
+        "published": tuple(published),
+        "claims": tuple(claims),
+        "clock": bt.append_tick(head),
+        "asserted": asserted,
+    }
+
+
+def state_fields(state: ChainState) -> dict:
+    assert state.published_names == set(state.published)
+    return {
+        "balances": dict(state.balances),
+        "published": state.published,
+        "claims": state.claims,
+        "clock": state.clock,
+        "asserted": set(state.asserted),
+    }
+
+
+def bank_payloads(s):
+    posts = [
+        ClaimPayload(f"c{i}", Claim(f"Omega_{i}", parse_formula(text, s)))
+        for i, text in enumerate(("license(A)", "!license(B)", "license(A) | license(B)"))
+    ]
+    return [TransactionPayload(a) for a in s.contract.actions] + posts
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_states_of_random_prodigal_trees_match_a_fold_from_genesis(data):
+    s = bank()
+    payloads = bank_payloads(s)
+    facts = data.draw(st.sampled_from(((), (("license", ("B",)),))))
+    bt = BlockTree(GenesisPayload.for_contract(s.contract), OracleConfig.prodigal())
+    ids = [bt.genesis.id]
+    steps = st.tuples(
+        st.integers(0, 10**6), st.sampled_from(range(len(payloads))), st.integers(0, 9)
+    )
+    for parent, which, tick in data.draw(st.lists(steps, max_size=30)):
+        parent = ids[parent % len(ids)]
+        if block_id(payloads[which].canonical(), parent) not in bt:
+            ids.append(attach(bt, parent, payloads[which], tick))
+    for bid in ids:
+        assert state_fields(compute_state(bt, bid, facts)) == fold_from_genesis(bt, bid, facts)
+
+
 # ---------------------------------------------------------------------------
 # Append conditions
 
@@ -228,20 +305,11 @@ def test_check_append_insufficient_balance():
     assert check_append(a, state_with(balances={"W": 10})).ok
 
 
-def test_check_append_order_and_toggles():
+def test_check_append_order():
     a = bank().contract.action("x")
     # duplicate binding outranks the balance shortfall
     r = check_append(a, state_with(published=("x",), balances={"W": 0}))
     assert r.code == "DuplicateBinding"
-    # toggles disable individual conditions
-    r = check_append(
-        a,
-        state_with(published=("x",), balances={"W": 0}),
-        PAppChecks(unique_binding=False, sufficient_balance=False),
-    )
-    assert r.ok
-    r = check_append(a, state_with(balances={}), PAppChecks(sufficient_balance=False))
-    assert r.ok
 
 
 # ---------------------------------------------------------------------------

@@ -43,10 +43,6 @@ class TypeMismatch(LogicError):
     """Ill-typed term operation, e.g. ordering two symbols."""
 
 
-class NotClosed(LogicError):
-    """An authority-endorsed claim reached the closed-guard evaluator."""
-
-
 class ResourceLimit(LogicError):
     """Atom universe or clause budget exceeded during refutation."""
 
@@ -167,20 +163,6 @@ class Exists(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
-class Says(Formula):
-    """Authority endorsement used in accountability bookkeeping.
-
-    Says-formulas never appear in guard or claim bodies written by
-    users; they are produced internally when a transfer is rendered as
-    an accountability implication.  The refutation engine treats a whole
-    Says node as one opaque atom.
-    """
-
-    authority: str
-    body: Formula
-
-
 TRUE = TrueF()
 FALSE = FalseF()
 
@@ -244,8 +226,6 @@ def formula_text(f: Formula) -> str:
         return f"(forall {f.var} in {f.domain} . {formula_text(f.body)})"
     if isinstance(f, Exists):
         return f"(exists {f.var} in {f.domain} . {formula_text(f.body)})"
-    if isinstance(f, Says):
-        return f"(claim {f.authority}: {formula_text(f.body)})"
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -447,8 +427,6 @@ def _eval(f, m, defs, env, stack) -> bool:
     if isinstance(f, Exists):
         members = defs.domain_members(f.domain)
         return any(_eval(f.body, m, defs, {**env, f.var: _wrap(v)}, stack) for v in members)
-    if isinstance(f, Says):
-        raise NotClosed("an endorsed claim has no closed-guard truth value")
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -507,7 +485,7 @@ def ground_expand(f: Formula, defs: DefinitionSet) -> Formula:
     predicates and parametric functions are unfolded, rigid subterms
     are folded to values.  What remains are boolean connectives over
     *residual* atoms: open atoms, comparisons that mention balances or
-    uninterpreted functions, ``before``-atoms and opaque Says nodes.
+    uninterpreted functions and ``before``-atoms.
     """
     return _expand(f, defs, {}, ())
 
@@ -606,8 +584,6 @@ def _expand(f, defs, env, stack) -> Formula:
             for p in parts:
                 out = _mk_or(out, p)
         return out
-    if isinstance(f, Says):
-        return Says(f.authority, _expand(f.body, defs, env, stack))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -663,7 +639,7 @@ def residual_atoms(f: Formula) -> list[str]:
     def walk(g):
         if isinstance(g, (TrueF, FalseF)):
             return
-        if isinstance(g, (Atom, Cmp, Says)):
+        if isinstance(g, (Atom, Cmp)):
             seen.setdefault(atom_key(g))
             return
         if isinstance(g, Not):
@@ -685,7 +661,7 @@ def eval_residual(f: Formula, assignment: dict[str, bool]) -> bool:
         return True
     if isinstance(f, FalseF):
         return False
-    if isinstance(f, (Atom, Cmp, Says)):
+    if isinstance(f, (Atom, Cmp)):
         key = atom_key(f)
         if key not in assignment:
             raise LogicError(f"assignment is missing atom {key}")
@@ -751,7 +727,7 @@ def _nnf(f: Formula, neg: bool) -> Formula:
         return FALSE if neg else TRUE
     if isinstance(f, FalseF):
         return TRUE if neg else FALSE
-    if isinstance(f, (Atom, Cmp, Says)):
+    if isinstance(f, (Atom, Cmp)):
         return Not(f) if neg else f
     if isinstance(f, Not):
         return _nnf(f.sub, not neg)
@@ -776,7 +752,7 @@ def _clauses(f: Formula, table: _AtomTable, budget: int) -> list[frozenset[int]]
         return []
     if isinstance(f, FalseF):
         return [frozenset()]
-    if isinstance(f, (Atom, Cmp, Says)):
+    if isinstance(f, (Atom, Cmp)):
         return [frozenset({table.id_of(atom_key(f)) + 1})]
     if isinstance(f, Not):
         return [frozenset({-(table.id_of(atom_key(f.sub)) + 1)})]

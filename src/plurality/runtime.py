@@ -98,7 +98,14 @@ class PendingAppend:
 
 
 class Engine:
-    """Runs one scenario against one block tree."""
+    """Runs one scenario against one block tree.
+
+    With ``consistency_checks`` every commit checks that no branch's
+    claim store has become refutable, and raises ConsistencyError if one
+    has.  Each new block's store is checked once, when it is appended
+    (verdicts are kept per block id); a leaf attached to the tree by
+    other means is checked at the next commit.
+    """
 
     def __init__(
         self,
@@ -114,6 +121,7 @@ class Engine:
         self.seed = scenario.seed if seed is None else seed
         self.rng = random.Random(self.seed)
         self.consistency_checks = consistency_checks
+        self._consistent: set[str] = set()
         self.tree = BlockTree(GenesisPayload.for_contract(self.contract), self.oracle)
         self.validator = Validator(scenario, self.tree)
         self.clock = 0
@@ -209,7 +217,9 @@ class Engine:
         rec.history.append(f"t={pending.tick} published as block {block.id[:12]}")
         self._publish_serial += 1
         self._emit("append", name=pending.name, block=block.id, height=block.height)
-        if self.consistency_checks and not chain_claims_consistent(self.tree, self.scenario):
+        if self.consistency_checks and not chain_claims_consistent(
+            self.tree, self.scenario, self._consistent
+        ):
             raise ConsistencyError(
                 f"claim store became refutable after appending {pending.name!r}"
             )

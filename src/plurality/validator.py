@@ -32,15 +32,11 @@ from .logic import (
     AgentRef,
     Atom,
     Claim,
-    Constant,
     DiscordCertificate,
-    Formula,
-    Implies,
     IntLit,
     LogicError,
     Model,
     NotInConflict,
-    Says,
     Value,
     claim_text,
     evaluate,
@@ -50,7 +46,6 @@ from .logic import (
     store_consistent,
 )
 from .syntax import (
-    VALIDATION_AUTHORITY,
     Action,
     ClaimedGuard,
     ClosedGuard,
@@ -135,48 +130,6 @@ class ClaimPayload:
 
     def describe(self) -> str:
         return f"claim {self.label} by {self.claim.authority}"
-
-
-# ---------------------------------------------------------------------------
-# Accountability reading of a transfer
-
-
-@dataclass(frozen=True)
-class TransactionFormula:
-    """A bound action together with its accountability implication."""
-
-    action: Action
-    formula: Formula
-
-    @property
-    def text(self) -> str:
-        return formula_text(self.formula)
-
-
-def account(action: Action) -> TransactionFormula:
-    """Render a guarded transfer as who-commits-to-what.
-
-    A closed guard reads: if the validation authority endorses the
-    guard as valid, the source endorses the balance update.  A claimed
-    guard substitutes the endorsement it actually rides on: if the
-    guard's authority says the guard body, the source endorses the
-    update.  Either way the named agents are accountable for exactly
-    their own endorsement, which is what discord certificates later
-    point at.
-    """
-    tx = action.transaction
-    if isinstance(tx.guard, ClaimedGuard):
-        premise: Formula = Says(tx.guard.claim.authority, tx.guard.claim.body)
-    else:
-        premise = Says(
-            VALIDATION_AUTHORITY,
-            Atom("valid", (Constant(formula_text(tx.guard.formula)),)),
-        )
-    commitment = Says(
-        tx.source,
-        Atom("updates", (AgentRef(tx.source), IntLit(tx.amount), AgentRef(tx.sink))),
-    )
-    return TransactionFormula(action, Implies(premise, commitment))
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +249,28 @@ def proof_of_discord(claims, constraints, candidate: Claim, defs):
         return True, None
 
 
-def chain_claims_consistent(tree, scenario: Scenario) -> bool:
-    """True iff every branch's claim store is free of internal discord."""
+def chain_claims_consistent(tree, scenario: Scenario, verified: set[str] | None = None) -> bool:
+    """True iff every branch's claim store is free of internal discord.
+
+    ``verified`` holds ids of blocks whose chains are already known to
+    be consistent under ``scenario``: leaves in it are skipped, and each
+    leaf that passes is added.  A block id hashes its parent id and its
+    payload, so a block's chain, its claim store and the verdict never
+    change; a caller that keeps the set across appends (as ``Engine``
+    does) checks each new block's store once, when it is appended.  The
+    verdict also depends on the scenario's constraints, which the id
+    does not cover, so a set must not be shared between scenarios.
+    """
     d = scenario.contract.defs
+    if verified is None:
+        verified = set()
     for leaf in tree.leaves():
+        if leaf in verified:
+            continue
         st = compute_state(tree, leaf, scenario.facts)
         if not store_consistent(st.claims, d.constraints, d):
             return False
+        verified.add(leaf)
     return True
 
 

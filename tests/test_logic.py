@@ -40,7 +40,6 @@ from plurality.logic import (
     Or,
     PredicateDef,
     ResourceLimit,
-    Says,
     StratificationViolation,
     TypeMismatch,
     UnknownSymbol,
@@ -155,13 +154,6 @@ def test_error_cases():
         evaluate(Cmp("=", BalanceOf("nobody"), IntLit(0)), Model(), d)
     with pytest.raises(TypeMismatch):
         evaluate(Atom("paid", (Constant("A"), Constant("B"))), Model(), d)
-
-
-def test_says_has_no_closed_truth_value():
-    from plurality.logic import NotClosed
-
-    with pytest.raises(NotClosed):
-        evaluate(Says("Omega", Atom("p")), Model(), basic_defs())
 
 
 def test_hashlock_builtin():

@@ -5,20 +5,25 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plurality.blocktree import OracleConfig
+import plurality.validator
+from plurality.blocktree import OracleConfig, block_id
+from plurality.logic import Claim
 from plurality.runtime import (
     PUBLISHED,
     REJECTED,
     SUBMITTED,
     WRONG_SUBMITTER,
+    ConsistencyError,
     Engine,
     UnknownName,
     trace_human,
     trace_text,
 )
-from plurality.syntax import parse_scenario
-from plurality.validator import chain_claims_consistent
+from plurality.syntax import parse_formula, parse_scenario
+from plurality.validator import ClaimPayload, chain_claims_consistent
 
 
 FAIR = """
@@ -271,6 +276,72 @@ def test_consistency_checks_stay_green_through_discord():
     assert doc["certificates"] == 1
 
 
+SIBLINGS = """
+agent W balance 100
+agent A
+agent B
+oracle Om
+atom ok(agent)
+issue a = tx W -(10)[true]-> A
+issue b = tx W -(10)[claim Om: ok(B)]-> B
+issue c = tx W -(10)[|W| >= 10]-> A
+issue d = tx W -(10)[claim Om: ok(A)]-> A
+issue e = tx W -(10)[true]-> B
+"""
+
+
+def test_consistency_checks_run_once_per_appended_block(monkeypatch):
+    calls = []
+    real = plurality.validator.store_consistent
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(plurality.validator, "store_consistent", counting)
+    eng = Engine(
+        parse_scenario(SIBLINGS, name="siblings"),
+        oracle=OracleConfig.prodigal(),
+        consistency_checks=True,
+    )
+    appended = 0
+    for names in (["a", "b", "c"], ["d", "e"]):
+        pending = [eng.validate_action(n) for n in names]
+        for p in pending:
+            assert eng.commit_action(p) is not None
+            appended += 1
+    assert len(eng.tree.leaves()) == 4
+    # every leaf was checked once, when it was appended, never again
+    assert len(calls) == appended == 5
+
+
+CONTRADICTED = """
+agent W balance 50
+agent A
+oracle Om
+atom p
+issue x = tx W -(10)[true]-> A
+issue y = tx W -(10)[true]-> A
+at 0 claim yes = Om: p
+"""
+
+
+@pytest.mark.parametrize("under", ["head", "verified inner block"])
+def test_planted_discord_fails_the_next_commit(under):
+    s = parse_scenario(CONTRADICTED, name="planted")
+    eng = Engine(s, oracle=OracleConfig.prodigal(), consistency_checks=True)
+    assert eng.attempt("yes")
+    parent = eng.records["yes"].block
+    if under == "verified inner block":
+        assert eng.attempt("x")
+    pending = eng.validate_action("y")
+    # attach a contradicting claim under ``parent`` without validating it
+    no = ClaimPayload("no", Claim("Om", parse_formula("!p", s)))
+    eng.tree.commit(eng.tree.oracle.grant(parent, block_id(no.canonical(), parent)), no)
+    with pytest.raises(ConsistencyError):
+        eng.commit_action(pending)
+
+
 # ---------------------------------------------------------------------------
 # Split-phase appends and races
 
@@ -399,3 +470,74 @@ def test_random_transfer_runs_conserve_and_replay():
             assert r["stage"] in (PUBLISHED, REJECTED)
         # byte-identical replay under the same seed
         assert trace_text(doc) == trace_text(run(source, seed=seed)[1])
+
+
+# ---------------------------------------------------------------------------
+# Generated scenarios
+
+
+@st.composite
+def generated_scenarios(draw):
+    """Small contracts under the cadillac uniqueness constraint.
+
+    Transfers carry closed or claimed guards; oracles post claims over
+    2-4 ``st`` atoms, some of them in discord with each other.
+    """
+    items, vals = draw(st.sampled_from([(1, 2), (1, 3), (1, 4), (2, 2)]))
+    wallets = ["P", "Q", "R"]
+    balances = [draw(st.integers(0, 30)) for _ in wallets]
+    lines = [f"agent {w} balance {b}" for w, b in zip(wallets, balances)]
+    lines += [
+        "oracle Om",
+        "oracle On",
+        f"domain Items = {{ {', '.join(f'i{k}' for k in range(items))} }}",
+        f"domain Vals = {{ {', '.join(f'v{j}' for j in range(vals))} }}",
+        "atom st(item, val)",
+        "constraint forall c in Items . forall u in Vals . forall w in Vals .",
+        "  (st(c, u) & st(c, w)) -> u = w",
+    ]
+    atom = st.builds(
+        "st(i{}, v{})".format, st.integers(0, items - 1), st.integers(0, vals - 1)
+    )
+    literal = st.builds(str.__add__, st.sampled_from(["", "!"]), atom)
+    for i in range(draw(st.integers(1, 4))):
+        src, snk = draw(st.permutations(wallets))[:2]
+        amount = draw(st.integers(1, 20))
+        guard = draw(
+            st.one_of(
+                st.just("true"),
+                st.just(f"|{src}| >= {amount}"),
+                st.builds("claim {}: {}".format, st.sampled_from(["Om", "On"]), literal),
+            )
+        )
+        lines.append(f"issue t{i} = tx {src} -({amount})[{guard}]-> {snk}")
+    for k in range(draw(st.integers(0, 4))):
+        tick = draw(st.integers(0, 2))
+        who = draw(st.sampled_from(["Om", "On"]))
+        lines.append(f"at {tick} claim c{k} = {who}: {draw(literal)}")
+    return "\n".join(lines) + "\n", sum(balances)
+
+
+ORACLES = st.one_of(
+    st.builds(OracleConfig.frugal, st.integers(1, 3)), st.just(OracleConfig.prodigal())
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_scenarios(), ORACLES, st.integers(0, 1000))
+def test_generated_runs_stay_consistent_conserve_and_replay(case, oracle, seed):
+    source, total = case
+
+    def run_once():
+        eng = Engine(
+            parse_scenario(source, name="gen"),
+            oracle=oracle,
+            seed=seed,
+            consistency_checks=True,
+        )
+        return eng.run()  # raises ConsistencyError if a store became refutable
+
+    doc = run_once()
+    for chain in doc["chains"]:
+        assert sum(chain["balances"].values()) == total
+    assert trace_text(doc) == trace_text(run_once())

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from plurality.blocktree import BlockTree, OracleConfig, ValidationFailed, block_id
 from plurality.logic import (
     Claim,
-    Implies,
-    Says,
     formula_text,
     refute,
     store_consistent,
@@ -24,7 +22,6 @@ from plurality.validator import (
     GenesisPayload,
     TransactionPayload,
     Validator,
-    account,
     chain_claims_consistent,
     check_append,
     compute_state,
@@ -102,31 +99,6 @@ def test_claim_payload_canonical():
     p = ClaimPayload("lbl", Claim("Omega_X", body))
     assert p.canonical() == "post lbl = claim Omega_X: license(A)"
     assert "Omega_X" in p.describe()
-
-
-# ---------------------------------------------------------------------------
-# Accountability reading
-
-
-def test_account_closed_guard_reads_as_validity_commitment():
-    s = bank()
-    tf = account(s.contract.action("y"))
-    f = tf.formula
-    assert isinstance(f, Implies)
-    assert isinstance(f.lhs, Says) and f.lhs.authority == "Theta"
-    assert isinstance(f.rhs, Says) and f.rhs.authority == "W"
-    assert tf.text == (
-        '((claim Theta: valid("(|A| >= 10)")) -> (claim W: updates(W, 20, B)))'
-    )
-
-
-def test_account_claimed_guard_rides_its_authority():
-    s = bank()
-    tf = account(s.contract.action("lic"))
-    f = tf.formula
-    assert isinstance(f.lhs, Says) and f.lhs.authority == "Omega_X"
-    assert formula_text(f.lhs.body) == "license(A)"
-    assert tf.text == "((claim Omega_X: license(A)) -> (claim W: updates(W, 5, A)))"
 
 
 # ---------------------------------------------------------------------------

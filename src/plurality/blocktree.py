@@ -42,15 +42,7 @@ class FrugalLimitReached(BlockTreeError):
 
 
 class RetryExhausted(BlockTreeError):
-    """append() kept losing the head race."""
-
-
-class ValidationFailed(BlockTreeError):
-    """The validation callback rejected the payload."""
-
-    def __init__(self, detail=None):
-        super().__init__(str(detail) if detail is not None else "validation failed")
-        self.detail = detail
+    """An append kept losing the head race."""
 
 
 @dataclass(frozen=True)
@@ -213,13 +205,6 @@ class BlockTree:
         assert best is not None
         return Selection(self.chain_to(best.id))
 
-    def read(self) -> tuple[Block, ...]:
-        """The currently selected chain as blocks, genesis first."""
-        return tuple(self.block(b) for b in self.select().chain)
-
-    def head(self) -> Block:
-        return self.block(self.select().head)
-
     # -- writing ----------------------------------------------------------
 
     def get_token(self, head_id: str, payload, validator) -> Token | None:
@@ -258,21 +243,6 @@ class BlockTree:
         self._children[b.id] = []
         self._append_tick[b.id] = tick
         return b
-
-    def append(self, payload, validator, *, tick: int = 0, max_attempts: int = 16) -> Block:
-        """Convenience loop: validate on the current head and commit,
-        re-validating from scratch whenever the head moves underneath.
-        """
-        for _ in range(max_attempts):
-            head_id = self.select().head
-            result = self.get_token(head_id, payload, validator)
-            if result is None:
-                raise ValidationFailed(getattr(validator, "last_result", None))
-            try:
-                return self.commit(result, payload, tick=tick)
-            except FrugalLimitReached:
-                continue  # the head moved underneath us; re-validate there
-        raise RetryExhausted(f"gave up after {max_attempts} attempts")
 
     # -- export -----------------------------------------------------------
 

@@ -8,11 +8,21 @@ evaluation, so the cost of a check follows the atoms its formulas leave
 undetermined, not the size of the contract's ground universe; every
 model the search reports is confirmed with the formula evaluator.  The
 only code shared with the engine is that evaluator and ground expansion.
+
+Each formula is ground-expanded and compiled once per contract, into its
+top-level conjuncts, and every check against that contract reuses it.  A
+check searches its own formulas plus only the constraint conjuncts
+connected to their atoms.  This is exact: the other conjuncts share no
+atom with the search and are a subset of the constraints, so they are
+satisfiable whenever the constraints are, which is decided once per
+constraint set; when they are not, every such check answers
+unsatisfiable, as a search over all of them would.
 """
 
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 from .logic import (
     And,
@@ -149,65 +159,141 @@ def _connective(f: Formula, neg: bool):
     return None, ()
 
 
-class _Audit:
-    """The atom table and compiled formulas of one check.
+def _flat(f: Formula, neg: bool):
+    """``f`` and ``neg`` without outer negations, the flat kind (None for a
+    leaf) and the signed operands, same-kind connectives spliced in."""
+    while isinstance(f, Not):
+        f, neg = f.sub, not neg
+    kind, todo = _connective(f, neg)
+    todo, operands = list(reversed(todo)), []
+    while todo:
+        g, gneg = todo.pop()
+        while isinstance(g, Not):
+            g, gneg = g.sub, not gneg
+        gkind, gops = _connective(g, gneg)
+        if gkind == kind:
+            todo.extend(reversed(gops))
+        else:
+            operands.append((g, gneg))
+    return f, neg, kind, operands
 
-    Each formula is ground-expanded and compiled once; each residual
-    atom's key is computed once, when its occurrence is compiled.
+
+class _Part(NamedTuple):
+    """A top-level conjunct: residual form, compiled node, atom id -> key."""
+
+    residual: Formula
+    node: object
+    atoms: dict[int, str]
+
+
+class _Audit:
+    """A view of one contract's atom table, compiled formulas and indexed
+    conjunctions, which live on its DefinitionSet (``_audit_cache``).
+
+    Each residual atom's key is computed once, when its occurrence is
+    compiled.  Only the short-lived view refers to the DefinitionSet, so
+    the tables form no reference cycle with it.
     """
 
     def __init__(self, defs: DefinitionSet):
         self.defs = defs
-        self.ids: dict[str, int] = {}
-        self._compiled: dict[Formula, tuple[Formula, object]] = {}
+        if defs._audit_cache is None:
+            defs._audit_cache = ({}, {}, {})  # atom ids, compiled formulas, conjunctions
+        self.ids, self._compiled, self._conjunctions = defs._audit_cache
 
     def id_of(self, key: str) -> int:
         return self.ids.setdefault(key, len(self.ids) + 1)
 
-    def compile(self, f: Formula) -> tuple[Formula, object]:
-        """The residual form of ``f`` (for confirmation) and its node."""
+    def compile(self, f: Formula) -> tuple[_Part, ...]:
+        """The top-level conjuncts of ``f`` after ground expansion."""
         got = self._compiled.get(f)
         if got is None:
-            residual = ground_expand(f, self.defs)
-            got = self._compiled[f] = (residual, self._node(residual, False))
+            top, neg, kind, operands = _flat(ground_expand(f, self.defs), False)
+            parts = []
+            for g, gneg in operands if kind == "and" else [(top, neg)]:
+                atoms: dict[int, str] = {}
+                parts.append(_Part(Not(g) if gneg else g, self._node(g, gneg, atoms), atoms))
+            got = self._compiled[f] = tuple(parts)
         return got
 
-    def _node(self, f: Formula, neg: bool):
-        while isinstance(f, Not):
-            f, neg = f.sub, not neg
-        kind, operands = _connective(f, neg)
-        if kind is None:
-            if isinstance(f, (TrueF, FalseF)):
-                return isinstance(f, TrueF) != neg
-            atom = self.id_of(atom_key(f))
-            return -atom if neg else atom
-        kids = []
-        todo = list(reversed(operands))
-        while todo:
-            g, gneg = todo.pop()
-            while isinstance(g, Not):
-                g, gneg = g.sub, not gneg
-            gkind, gops = _connective(g, gneg)
-            if gkind == kind:
-                todo.extend(reversed(gops))
-            else:
-                kids.append(self._node(g, gneg))
-        return (kind, tuple(kids))
+    def conjunction(self, formulas: tuple[Formula, ...]) -> _Conjunction:
+        got = self._conjunctions.get(formulas)
+        if got is None:
+            got = self._conjunctions[formulas] = _Conjunction(
+                [p for f in formulas for p in self.compile(f)]
+            )
+        return got
 
-    def satisfiable(self, formulas, fixed: dict[int, bool] | None = None) -> bool:
-        """Whether some assignment extending ``fixed`` satisfies every formula.
+    def _node(self, f: Formula, neg: bool, atoms: dict[int, str]):
+        f, neg, kind, operands = _flat(f, neg)
+        if kind is not None:
+            return (kind, tuple(self._node(g, gneg, atoms) for g, gneg in operands))
+        if isinstance(f, (TrueF, FalseF)):
+            return isinstance(f, TrueF) != neg
+        key = atom_key(f)
+        atom = self.id_of(key)
+        atoms[atom] = key
+        return -atom if neg else atom
 
-        A model found by the search is confirmed by evaluating every
-        formula's residual form under it, unassigned atoms set to False.
-        """
-        compiled = [self.compile(f) for f in formulas]
-        model = _search([node for _, node in compiled], dict(fixed or {}))
+    def satisfiable(self, formulas, fixed=None, background: _Conjunction | None = None) -> bool:
+        """Whether some assignment extending ``fixed`` satisfies every
+        formula and ``background``, searching only the background's
+        conjuncts connected to the atoms of the formulas and of ``fixed``."""
+        parts = [p for f in formulas for p in self.compile(f)]
+        if background is not None:
+            seed = [a for p in parts for a in p.atoms] + list(fixed or ())
+            parts += [background.parts[i] for i in background.component(seed)]
+        if not self.confirmed(parts, fixed):
+            return False
+        return background is None or background.satisfiable(self)
+
+    def confirmed(self, parts: list[_Part], fixed: dict[int, bool] | None = None) -> bool:
+        """Search ``parts`` under ``fixed``; a model found is confirmed by
+        evaluating every part's residual form, unassigned atoms False."""
+        model = _search([p.node for p in parts], dict(fixed or {}))
         if model is None:
             return False
-        full = {key: model.get(atom, False) for key, atom in self.ids.items()}
-        if not all(eval_residual(residual, full) for residual, _ in compiled):
+        full = {key: model.get(a, False) for p in parts for a, key in p.atoms.items()}
+        if not all(eval_residual(p.residual, full) for p in parts):
             raise RuntimeError("the search returned an assignment that is not a model")
         return True
+
+
+class _Conjunction:
+    """The conjuncts of some formulas, indexed by the atoms they mention,
+    and whether they are satisfiable alone, decided on first use one
+    connected component at a time."""
+
+    def __init__(self, parts: list[_Part]):
+        self.parts = parts
+        self.index: dict[int, list[int]] = {}
+        for i, p in enumerate(parts):
+            for a in p.atoms:
+                self.index.setdefault(a, []).append(i)
+        self.sat: bool | None = None
+
+    def component(self, atoms) -> list[int]:
+        """Positions of the conjuncts connected to ``atoms``, in order."""
+        picked: set[int] = set()
+        seen, todo = set(atoms), list(atoms)
+        while todo:
+            for i in self.index.get(todo.pop(), ()):
+                if i not in picked:
+                    picked.add(i)
+                    todo += self.parts[i].atoms.keys() - seen
+                    seen.update(self.parts[i].atoms)
+        return sorted(picked)
+
+    def satisfiable(self, audit: _Audit) -> bool:
+        if self.sat is None:
+            done: set[int] = set()
+            self.sat = True
+            for i, p in enumerate(self.parts):
+                if self.sat and i not in done:
+                    component = self.component(p.atoms) or [i]
+                    done.update(component)
+                    self.sat = audit.confirmed([self.parts[j] for j in component])
+        return self.sat
 
 
 def _simplify(node, asg: dict[int, bool]):
@@ -303,13 +389,16 @@ def _search(nodes: list, asg: dict[int, bool]) -> dict[int, bool] | None:
 # Replay
 
 
-def _entails_clause(audit: _Audit, source: Formula, clause, atom_ids: list[int]) -> bool:
+def _entails_clause(
+    audit: _Audit, source: Formula, clause, atom_ids: list[int], constraint: bool
+) -> bool:
     """source |= clause: the source is unsatisfiable under the assignment
     that falsifies the clause.
 
     The search first simplifies the source under that assignment, which
     settles the question when the source becomes FALSE; otherwise it
-    branches only on the atoms still undetermined.
+    branches only on the atoms still undetermined, and in a constraint
+    only on the conjuncts connected to the clause.
     """
     fixed: dict[int, bool] = {}
     tautology = False
@@ -318,6 +407,8 @@ def _entails_clause(audit: _Audit, source: Formula, clause, atom_ids: list[int])
             raise ReplayFailed(f"literal {lit} indexes outside the atom table")
         if fixed.setdefault(atom_ids[abs(lit) - 1], lit < 0) != (lit < 0):
             tautology = True  # two literal ids name one atom with both signs
+    if constraint:
+        return tautology or not audit.satisfiable([], fixed, audit.conjunction((source,)))
     return tautology or not audit.satisfiable([source], fixed)
 
 
@@ -364,7 +455,7 @@ def replay_refutation(
                 body = cert.candidate.body
             else:
                 raise ReplayFailed(f"step {n} has unknown source {step.source!r}")
-            if not _entails_clause(audit, body, step.clause, atom_ids):
+            if not _entails_clause(audit, body, step.clause, atom_ids, kind == "constraint"):
                 raise ReplayFailed(
                     f"step {n}: clause {list(step.clause)} does not follow from its source"
                 )
@@ -405,9 +496,10 @@ def check_minimality(
     (rightly) refuses the certificate.
     """
     audit = _Audit(defs)
+    background = audit.conjunction(tuple(constraints))
     bodies = [c.body for c in cert.conflicting_claims]
     for i, member in enumerate(cert.conflicting_claims):
-        if not audit.satisfiable(bodies[:i] + bodies[i + 1 :] + list(constraints)):
+        if not audit.satisfiable(bodies[:i] + bodies[i + 1 :], background=background):
             raise NotMinimal(f"already contradictory without {claim_text(member)}")
 
 

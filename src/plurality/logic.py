@@ -276,9 +276,11 @@ class DefinitionSet:
     ``refute`` caches, per ``(formula, max_clauses)``, what it derives
     from one claim body or constraint alone: the formula's ground atom
     keys in first-occurrence order and its non-tautological clauses over
-    local 1-based atom ids.  The cache is never invalidated, so it relies
-    on one rule: the parser is the only code that mutates a
-    DefinitionSet, and it finishes before the first ``refute``.
+    local 1-based atom ids.  The certificate auditor keeps its atom
+    table and compiled formulas in ``_audit_cache``.  Neither cache is
+    ever invalidated, so both rely on one rule: the parser is the only
+    code that mutates a DefinitionSet, and it finishes before the first
+    ``refute`` or certificate check.
     """
 
     domains: dict[str, tuple[Value, ...]] = field(default_factory=dict)
@@ -289,6 +291,7 @@ class DefinitionSet:
     _clause_cache: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _audit_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def domain_members(self, name: str) -> tuple[Value, ...]:
         try:
@@ -635,23 +638,17 @@ def atom_key(f: Formula) -> str:
 def residual_atoms(f: Formula) -> list[str]:
     """Ordered unique atom keys of a residual (expanded) formula."""
     seen: dict[str, None] = {}
-
-    def walk(g):
-        if isinstance(g, (TrueF, FalseF)):
-            return
+    todo = [f]
+    while todo:
+        g = todo.pop()
         if isinstance(g, (Atom, Cmp)):
             seen.setdefault(atom_key(g))
-            return
-        if isinstance(g, Not):
-            walk(g.sub)
-            return
-        if isinstance(g, (And, Or, Implies)):
-            walk(g.lhs)
-            walk(g.rhs)
-            return
-        raise LogicError(f"not residual: {formula_text(g)}")
-
-    walk(f)
+        elif isinstance(g, Not):
+            todo.append(g.sub)
+        elif isinstance(g, (And, Or, Implies)):
+            todo += (g.rhs, g.lhs)
+        elif not isinstance(g, (TrueF, FalseF)):
+            raise LogicError(f"not residual: {formula_text(g)}")
     return list(seen)
 
 

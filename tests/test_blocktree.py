@@ -15,7 +15,6 @@ from plurality.blocktree import (
     OracleConfig,
     StaleHead,
     UnknownBlock,
-    ValidationFailed,
     block_id,
 )
 
@@ -43,31 +42,42 @@ def fresh(oracle=OracleConfig.frugal(1)) -> BlockTree:
     return BlockTree(Note("genesis"), oracle)
 
 
+def put(bt: BlockTree, payload, validator=ok, *, tick: int = 0):
+    """Validate on the selected head and commit there: the new block, or
+    None when validation rejects."""
+    token = bt.get_token(bt.select().head, payload, validator)
+    return None if token is None else bt.commit(token, payload, tick=tick)
+
+
+def selected_tags(bt: BlockTree) -> list[str]:
+    return [bt.block(b).payload.tag for b in bt.select().chain]
+
+
 def test_genesis_only_selection():
     bt = fresh()
     sel = bt.select()
     assert sel.chain == (bt.genesis.id,)
-    assert bt.head() == bt.genesis
+    assert sel.head == bt.genesis.id
     assert len(bt) == 1
 
 
 def test_block_ids_are_content_derived():
     bt = fresh()
     assert bt.genesis.id == block_id("note genesis", None)
-    b = bt.append(Note("a"), ok)
+    b = put(bt, Note("a"))
     assert b.id == block_id("note a", bt.genesis.id)
     assert b.height == 1
     # same content, same parent, same id — recomputed independently
     bt2 = fresh()
-    b2 = bt2.append(Note("a"), ok)
+    b2 = put(bt2, Note("a"))
     assert b2.id == b.id
 
 
 def test_append_chain_and_read():
     bt = fresh()
-    a = bt.append(Note("a"), ok, tick=1)
-    b = bt.append(Note("b"), ok, tick=2)
-    assert [blk.payload.tag for blk in bt.read()] == ["genesis", "a", "b"]
+    a = put(bt, Note("a"), tick=1)
+    b = put(bt, Note("b"), tick=2)
+    assert selected_tags(bt) == ["genesis", "a", "b"]
     assert bt.select().head == b.id
     assert bt.append_tick(b.id) == 2
     assert bt.chain_to(b.id) == (bt.genesis.id, a.id, b.id)
@@ -76,14 +86,13 @@ def test_append_chain_and_read():
 def test_validation_failure_blocks_append():
     bt = fresh()
     assert bt.get_token(bt.genesis.id, Note("a"), no) is None
-    with pytest.raises(ValidationFailed):
-        bt.append(Note("a"), no)
+    assert put(bt, Note("a"), no) is None
     assert len(bt) == 1
 
 
 def test_stale_head_rejected():
     bt = fresh()
-    bt.append(Note("a"), ok)
+    put(bt, Note("a"))
     with pytest.raises(StaleHead):
         bt.get_token(bt.genesis.id, Note("b"), ok)
 
@@ -129,17 +138,17 @@ def test_prodigal_allows_forks_frugal_does_not():
 
 
 def test_frugal_race_resolves_on_new_head():
-    # two writers validate against the same head; the loser re-validates
-    # against the winner's block and lands behind it
+    # two writers validate against the same head; the loser validates
+    # again on the winner's block and lands behind it
     bt = fresh(OracleConfig.frugal(1))
     t1 = bt.get_token(bt.genesis.id, Note("a"), ok)
     t2 = bt.get_token(bt.genesis.id, Note("b"), ok)
     a = bt.commit(t1, Note("a"))
     with pytest.raises(FrugalLimitReached):
         bt.commit(t2, Note("b"))
-    b = bt.append(Note("b"), ok)  # retries internally on the new head
+    b = put(bt, Note("b"))
     assert b.parent == a.id
-    assert [blk.payload.tag for blk in bt.read()] == ["genesis", "a", "b"]
+    assert selected_tags(bt) == ["genesis", "a", "b"]
 
 
 def test_equal_height_fork_selects_smallest_head_id():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import random
 
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plurality import certificates
 from plurality.certificates import (
+    CertificateError,
     NotMinimal,
     ReplayFailed,
     _Audit,
@@ -22,22 +25,24 @@ from plurality.certificates import (
     replay_refutation,
 )
 from plurality.logic import (
+    And,
     Atom,
     Claim,
     DefinitionSet,
     DiscordCertificate,
     Not,
     atom_key,
+    formula_text,
     brute_force_satisfiable,
     minimize_conflict,
     refute,
     store_consistent,
 )
-from plurality.syntax import parse_contract, parse_formula
+from plurality.runtime import Engine
+from plurality.syntax import parse_contract, parse_formula, parse_scenario
 from tests.test_logic import random_ground_formula
 
-CTX = parse_contract(
-    """
+CTX_TEXT = """
 agent W balance 10
 agent A
 agent B
@@ -52,7 +57,7 @@ domain Students = { A, B }
 domain Positions = { 1, 2 }
 constraint forall i in Positions . forall s in Students . forall t in Students . ((s != t) -> !((rank(C, s) = i) & (rank(C, t) = i)))
 """
-)
+CTX = parse_contract(CTX_TEXT)
 
 
 def _parse(text: str):
@@ -283,3 +288,228 @@ def test_minimized_certificates_pass_the_audit(seed):
     if not store_consistent(claims, constraints, d) or refute(claims, constraints, cand, d) is None:
         return
     check_certificate(minimize_conflict(claims, constraints, cand, d), constraints, d)
+
+
+# --- the auditor against a reference auditor built on enumeration -------------
+
+GS = [f"g{i}" for i in range(5)]  # the atoms certificates are about
+HS = [f"h{i}" for i in range(3)]  # atoms no certificate mentions
+
+
+def contract_defs() -> DefinitionSet:
+    return DefinitionSet(atoms={n: 0 for n in GS + HS})
+
+
+def reference_verdict(cert, constraints, d) -> str | None:
+    """The verdict class of ``check_certificate``, decided by exhaustive
+    enumeration: every input clause must follow from its cited source,
+    every resolvent must be exact, and dropping any member of candidate
+    plus conflict must leave a set consistent with the constraints."""
+    r = cert.refutation
+    sources = {("candidate",): cert.candidate.body}
+    sources.update({("claim", i): c.body for i, c in enumerate(cert.conflict)})
+    sources.update({("constraint", i): g for i, g in enumerate(r.used_constraints)})
+    known = {formula_text(g) for g in constraints}
+    ok = (
+        bool(r.steps)
+        and r.used_claims == cert.conflict
+        and all(formula_text(g) in known for g in r.used_constraints)
+        and formula_text(r.conclusion) == formula_text(Not(cert.candidate.body))
+        and r.steps[-1].clause == ()
+    )
+    derived: list[tuple[int, ...]] = []
+    for n, step in enumerate(r.steps):
+        if not ok:
+            break
+        if step.rule == "input":
+            # the source with every literal of the clause made false
+            falsified = [
+                Not(Atom(r.atoms[abs(lit) - 1])) if lit > 0 else Atom(r.atoms[abs(lit) - 1])
+                for lit in step.clause
+            ]
+            ok = step.source in sources and (
+                brute_force_satisfiable([sources[step.source]] + falsified, d) is None
+            )
+        else:
+            a, b = step.premises
+            ok = 0 <= a < n and 0 <= b < n and any(
+                -p in derived[b] and set(derived[a]) - {p} | set(derived[b]) - {-p} == set(step.clause)
+                for p in derived[a]
+            )
+        derived.append(step.clause)
+    if not ok:
+        return "ReplayFailed"
+    members = [c.body for c in cert.conflicting_claims]
+    for i in range(len(members)):
+        if brute_force_satisfiable(members[:i] + members[i + 1 :] + list(constraints), d) is None:
+            return "NotMinimal"
+    return None
+
+
+def verdict(cert, constraints, d) -> str | None:
+    try:
+        check_certificate(cert, constraints, d)
+    except CertificateError as exc:
+        return type(exc).__name__
+    return None
+
+
+def flipped(cert):
+    """The candidate's input clause with every literal negated."""
+    steps = list(cert.refutation.steps)
+    for i, s in enumerate(steps):
+        if s.rule == "input" and s.source == ("candidate",):
+            steps[i] = dataclasses.replace(s, clause=tuple(sorted(-lit for lit in s.clause)))
+            break
+    return dataclasses.replace(
+        cert, refutation=dataclasses.replace(cert.refutation, steps=tuple(steps))
+    )
+
+
+def random_audit_cases(rng: random.Random, count: int):
+    """Certificates with flipped and padded copies, each with the
+    constraints to judge it under.
+
+    Some constraint sets carry a component over the ``h`` atoms, which
+    no certificate mentions: a satisfiable one, sometimes folded into a
+    cited constraint, or an unsatisfiable one, added only when judging
+    (no run admits a store that contradicts the constraints).
+    """
+    d = contract_defs()
+    cases = []
+    while len(cases) < count:
+        base = tuple(random_ground_formula(rng, GS, 2) for _ in range(rng.randrange(0, 2)))
+        kind = rng.choice(["none", "sat", "folded", "unsat"])
+        component = random_ground_formula(rng, HS, 2)
+        if kind == "unsat":
+            component = And(component, Not(component))
+        elif kind != "none" and brute_force_satisfiable([component], d) is None:
+            continue
+        made = base
+        if kind == "sat":
+            made = base + (component,)
+        elif kind == "folded":
+            made = (And(base[0], component),) + base[1:] if base else (component,)
+        judged = made + (component,) if kind == "unsat" else made
+        claims = tuple(
+            Claim(f"O{i}", random_ground_formula(rng, GS, 2), origin=f"b{i}")
+            for i in range(rng.randrange(1, 5))
+        )
+        cand = Claim("Oc", random_ground_formula(rng, GS, 2))
+        if not store_consistent(claims, made, d) or refute(claims, made, cand, d) is None:
+            continue
+        cert = minimize_conflict(claims, made, cand, d)
+        outside = [c for c in claims if c not in cert.conflict]
+        pad = outside[0] if outside else Claim("Op", random_ground_formula(rng, GS, 1), "bp")
+        for c in (cert, flipped(cert), with_member(cert, pad)):
+            cases.append((c, judged, kind))
+    return cases
+
+
+def test_auditor_agrees_with_the_reference_warm_and_cold():
+    cases = random_audit_cases(random.Random(4242), 240)
+    want = [reference_verdict(c, g, contract_defs()) for c, g, _ in cases]
+    # warm: one contract for every certificate, in two different orders
+    warm = contract_defs()
+    assert [verdict(c, g, warm) for c, g, _ in cases] == want
+    order = list(range(len(cases)))
+    random.Random(7).shuffle(order)
+    warm = contract_defs()
+    shuffled = {i: verdict(cases[i][0], cases[i][1], warm) for i in order}
+    assert [shuffled[i] for i in range(len(cases))] == want
+    # cold: a fresh contract for each certificate
+    assert [verdict(c, g, contract_defs()) for c, g, _ in cases] == want
+    counts = {v: want.count(v) for v in (None, "ReplayFailed", "NotMinimal")}
+    assert min(counts.values()) >= 20, counts
+    kinds = [k for _, _, k in cases]
+    assert min(kinds.count(k) for k in ("none", "sat", "folded", "unsat")) >= 20
+    # constraints contradictory on their own leave no member to blame
+    assert all(v == "NotMinimal" for v, k in zip(want, kinds) if k == "unsat" and v != "ReplayFailed")
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS)
+def test_entailment_from_a_sliced_source_agrees_with_enumeration(seed):
+    # a source whose conjuncts over the h atoms are not connected to the
+    # clause: when that part is contradictory the source entails anything
+    rng = random.Random(seed)
+    d = contract_defs()
+    near = random_ground_formula(rng, GS[:3], 2)
+    far = random_ground_formula(rng, HS, 2)
+    if rng.random() < 0.5:
+        far = And(far, Not(far))
+    source = And(near, far) if rng.random() < 0.5 else And(far, near)
+    fixed = {n: rng.random() < 0.5 for n in rng.sample(GS[:3], rng.randrange(4))}
+    literals = [Atom(n) if v else Not(Atom(n)) for n, v in fixed.items()]
+    audit = _Audit(d)
+    ids = {audit.id_of(atom_key(Atom(n))): v for n, v in fixed.items()}
+    want = brute_force_satisfiable([source] + literals, d) is not None
+    assert audit.satisfiable([], ids, audit.conjunction((source,))) == want
+
+
+def test_a_check_leaves_no_cyclic_garbage():
+    cert = rank_conflict()
+    defs = parse_contract(CTX_TEXT).defs
+    gc.collect()
+    gc.disable()
+    try:
+        check_certificate(cert, defs.constraints, defs)  # cold: compiles
+        check_certificate(cert, defs.constraints, defs)  # warm
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def node_atoms(nodes) -> set[int]:
+    out: set[int] = set()
+    todo = list(nodes)
+    while todo:
+        n = todo.pop()
+        if type(n) is int:
+            out.add(abs(n))
+        elif type(n) is tuple:
+            todo.extend(n[1])
+    return out
+
+
+def test_later_checks_follow_the_certificate_not_the_universe(monkeypatch):
+    # claims-12x3: the constraint grounds to 72 conjuncts over 36 atoms,
+    # but each certificate is about one item, whose component has 3 atoms
+    items = ", ".join(f"i{i}" for i in range(12))
+    lines = [
+        "oracle O",
+        f"domain Items = {{ {items} }}",
+        "domain Vals = { v0, v1, v2 }",
+        "atom st(item, val)",
+        "constraint forall c in Items . forall u in Vals . forall w in Vals .",
+        "  (st(c, u) & st(c, w)) -> u = w",
+    ]
+    lines += [f"at 0 claim s{i} = O: st(i{i}, v0)" for i in range(12)]
+    lines += [f"at 1 claim d{i} = O: st(i{i}, v{1 + i % 2})" for i in (0, 5, 11)]
+    source = "\n".join(lines) + "\n"
+    engine = Engine(parse_scenario(source, name="claims-12x3"))
+    engine.run()
+    assert len(engine.certificates) == 3
+    scenario = parse_scenario(source, name="claims-12x3")
+    defs = scenario.contract.defs
+    certs = [
+        certificate_from_text(certificate_to_text(c), lambda s: parse_formula(s, scenario))
+        for c in engine.certificates
+    ]
+    check_certificate(certs[0], defs.constraints, defs)  # grounds the constraint once
+
+    expanded, searched = [], []
+    real_expand, real_search = certificates.ground_expand, certificates._search
+    monkeypatch.setattr(
+        certificates, "ground_expand", lambda f, d: expanded.append(f) or real_expand(f, d)
+    )
+    monkeypatch.setattr(
+        certificates,
+        "_search",
+        lambda nodes, asg: searched.append(node_atoms(nodes) | set(asg)) or real_search(nodes, asg),
+    )
+    for cert in certs[1:]:
+        check_certificate(cert, defs.constraints, defs)
+    # only the two new claim bodies of each certificate are grounded
+    assert len(expanded) == 4 and not set(expanded) & set(defs.constraints)
+    assert searched and max(len(atoms) for atoms in searched) <= 3

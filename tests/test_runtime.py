@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import plurality.validator
 from plurality.blocktree import OracleConfig, block_id
+from plurality.certificates import certificate_from_text, certificate_to_text, check_certificate
 from plurality.logic import Claim
 from plurality.runtime import (
     PUBLISHED,
@@ -22,7 +23,7 @@ from plurality.runtime import (
     trace_human,
     trace_text,
 )
-from plurality.syntax import parse_formula, parse_scenario
+from plurality.syntax import ClaimEvent, parse_formula, parse_scenario
 from plurality.validator import ClaimPayload, chain_claims_consistent
 
 
@@ -368,7 +369,8 @@ def test_split_phase_race_loser_revalidates():
     assert eng.attempt("b")
     assert eng.records["b"].stage == PUBLISHED
     assert len(eng.tree) == 3
-    assert [b.payload.describe() for b in eng.tree.read()][1:] == [
+    chain = eng.tree.select().chain
+    assert [eng.tree.block(b).payload.describe() for b in chain][1:] == [
         "tx a: W -(10)-> A",
         "tx b: W -(10)-> B",
     ]
@@ -541,3 +543,54 @@ def test_generated_runs_stay_consistent_conserve_and_replay(case, oracle, seed):
     for chain in doc["chains"]:
         assert sum(chain["balances"].values()) == total
     assert trace_text(doc) == trace_text(run_once())
+
+
+def ordered_authorities(cert) -> list[str]:
+    return list(dict.fromkeys(c.authority for c in (cert.candidate,) + cert.conflict))
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_scenarios(), ORACLES, st.integers(0, 1000), st.data())
+def test_split_phase_forks_stay_consistent_and_their_certificates_audit(case, oracle, seed, data):
+    # rounds of siblings: each round validates k names against one head,
+    # then commits them all, so a prodigal oracle grows real forks and a
+    # frugal one makes the losers of each round lose the head race
+    source, total = case
+    scenario = parse_scenario(source, name="gen")
+    names = [a.binding for a in scenario.contract.actions]
+    names += [e.label for e in scenario.events if isinstance(e, ClaimEvent)]
+    rounds = data.draw(
+        st.lists(
+            st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True),
+            min_size=1,
+            max_size=6,
+        )
+    )
+
+    def grow():
+        eng = Engine(
+            parse_scenario(source, name="gen"), oracle=oracle, seed=seed, consistency_checks=True
+        )
+        for names_in_round in rounds:
+            pending = [eng.validate_action(n) for n in names_in_round]
+            for p in pending:
+                if p is not None:
+                    eng.commit_action(p)  # raises ConsistencyError on a refutable store
+        return eng, eng.trace()
+
+    eng, doc = grow()
+    for chain in doc["chains"]:
+        assert sum(chain["balances"].values()) == total
+    assert trace_text(doc) == trace_text(grow()[1])
+    auditor = parse_scenario(source, name="gen")
+    defs = auditor.contract.defs
+    for e in doc["events"]:
+        if e["kind"] != "discord":
+            continue
+        cert = eng.certificates[e["certificate"]]
+        assert e["authorities"] == ordered_authorities(cert)
+        assert list(cert.authorities) == ordered_authorities(cert)
+        back = certificate_from_text(
+            certificate_to_text(cert), lambda s: parse_formula(s, auditor)
+        )
+        check_certificate(back, defs.constraints, defs)

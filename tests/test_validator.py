@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plurality.blocktree import BlockTree, OracleConfig, ValidationFailed, block_id
+from plurality.blocktree import BlockTree, OracleConfig, block_id
 from plurality.logic import (
     Claim,
     formula_text,
@@ -27,6 +27,7 @@ from plurality.validator import (
     compute_state,
     proof_of_discord,
 )
+from tests.test_blocktree import put
 
 
 BANK = """
@@ -49,11 +50,15 @@ def permissive(payload, head) -> bool:
     return True
 
 
+def head(bt):
+    return bt.block(bt.select().head)
+
+
 def seeded_tree(scenario, *blocks, oracle=OracleConfig.prodigal()):
     """A tree holding the given payloads in one chain, no validation."""
     bt = BlockTree(GenesisPayload.for_contract(scenario.contract), oracle)
     for i, p in enumerate(blocks):
-        bt.append(p, permissive, tick=i + 1)
+        put(bt, p, permissive, tick=i + 1)
     return bt
 
 
@@ -294,7 +299,7 @@ def run_validate(source: str, *, pre=(), tick=0):
     bt = seeded_tree(s, *pre)
     v = Validator(s, bt, tick=tick)
     target = s.contract.actions[-1]
-    v(TransactionPayload(target), bt.head())
+    v(TransactionPayload(target), head(bt))
     return v.last_result, bt, s
 
 
@@ -359,7 +364,7 @@ def test_claimed_guard_refuted_by_stored_claim():
     denial = ClaimPayload("deny", Claim("Omega_Y", parse_formula("!license(A)", s)))
     bt = seeded_tree(s, denial)
     v = Validator(s, bt)
-    assert not v(TransactionPayload(s.contract.action("lic")), bt.head())
+    assert not v(TransactionPayload(s.contract.action("lic")), head(bt))
     r = v.last_result
     assert r.reason == "Discord"
     cert = r.certificate
@@ -394,7 +399,7 @@ def test_claim_payload_discord_names_both_authorities():
     bt = seeded_tree(s, good)
     v = Validator(s, bt)
     bad = ClaimPayload("b", Claim("Alice", parse_formula("state(cadillac, bad)", s)))
-    assert not v(bad, bt.head())
+    assert not v(bad, head(bt))
     cert = v.last_result.certificate
     assert cert.authorities == ("Alice", "Omega_IoT")
 
@@ -418,27 +423,25 @@ def test_validator_drives_tree_appends():
     s = bank()
     bt = BlockTree(GenesisPayload.for_contract(s.contract), OracleConfig.frugal(2))
     v = Validator(s, bt)
-    bt.append(TransactionPayload(s.contract.action("x")), v, tick=0)
-    bt.append(TransactionPayload(s.contract.action("y")), v, tick=0)
+    put(bt, TransactionPayload(s.contract.action("x")), v)
+    put(bt, TransactionPayload(s.contract.action("y")), v)
     st = compute_state(bt, bt.select().head)
     assert st.balances == {"W": 20, "A": 10, "B": 20}
     assert st.published == ("x", "y")
     # replaying a published binding is a structural rejection
-    with pytest.raises(ValidationFailed) as exc:
-        bt.append(TransactionPayload(s.contract.action("x")), v, tick=0)
-    assert exc.value.detail.reason == "AppendConditions"
-    assert "DuplicateBinding" in exc.value.detail.detail
+    assert put(bt, TransactionPayload(s.contract.action("x")), v) is None
+    assert v.last_result.reason == "AppendConditions"
+    assert "DuplicateBinding" in v.last_result.detail
 
 
 def test_dependency_rejected_until_parent_lands():
     s = bank()
     bt = BlockTree(GenesisPayload.for_contract(s.contract), OracleConfig.frugal(2))
     v = Validator(s, bt)
-    with pytest.raises(ValidationFailed) as exc:
-        bt.append(TransactionPayload(s.contract.action("y")), v)
-    assert "UnmetDependency" in exc.value.detail.detail
-    bt.append(TransactionPayload(s.contract.action("x")), v)
-    bt.append(TransactionPayload(s.contract.action("y")), v)
+    assert put(bt, TransactionPayload(s.contract.action("y")), v) is None
+    assert "UnmetDependency" in v.last_result.detail
+    put(bt, TransactionPayload(s.contract.action("x")), v)
+    put(bt, TransactionPayload(s.contract.action("y")), v)
     assert compute_state(bt, bt.select().head).published == ("x", "y")
 
 

@@ -9,14 +9,15 @@ undetermined, not the size of the contract's ground universe; every
 model the search reports is confirmed with the formula evaluator.  The
 only code shared with the engine is that evaluator and ground expansion.
 
-Each formula is ground-expanded and compiled once per contract, into its
-top-level conjuncts, and every check against that contract reuses it.  A
-check searches its own formulas plus only the constraint conjuncts
-connected to their atoms.  This is exact: the other conjuncts share no
-atom with the search and are a subset of the constraints, so they are
-satisfiable whenever the constraints are, which is decided once per
-constraint set; when they are not, every such check answers
-unsatisfiable, as a search over all of them would.
+Formulas are compiled into their top-level conjuncts: the constraints
+once per contract, a certificate's bodies once per replay or minimality
+audit.  A check searches its own formulas plus only the constraint
+conjuncts connected to their atoms.  This is exact: the other conjuncts
+share no atom with the search and are a subset of the constraints, so
+they are satisfiable whenever the constraints are, which is decided once
+per constraint set; when they are not, every check answers
+unsatisfiable, as a search over all of them would.  A cited source is
+sliced the same way.
 """
 
 from __future__ import annotations
@@ -187,39 +188,51 @@ class _Part(NamedTuple):
 
 
 class _Audit:
-    """A view of one contract's atom table, compiled formulas and indexed
-    conjunctions, which live on its DefinitionSet (``_audit_cache``).
+    """One replay's or minimality audit's view of a contract's formulas.
 
-    Each residual atom's key is computed once, when its occurrence is
-    compiled.  Only the short-lived view refers to the DefinitionSet, so
-    the tables form no reference cycle with it.
+    What derives from the constraints alone lives on the DefinitionSet
+    (``_audit_cache``), built once per constraint tuple: the constraints'
+    atom ids, their compiled conjuncts, and an indexed conjunction of the
+    tuple and of each constraint in it.  The certificate's own atoms and
+    bodies go to this view's layers (``own``) and are dropped with it,
+    however the check ends.  Only the short-lived view refers to the
+    DefinitionSet, so the tables form no reference cycle with it.
     """
 
-    def __init__(self, defs: DefinitionSet):
-        self.defs = defs
+    def __init__(self, defs: DefinitionSet, constraints: tuple[Formula, ...] = ()):
+        self.defs, constraints = defs, tuple(constraints)
         if defs._audit_cache is None:
             defs._audit_cache = ({}, {}, {})  # atom ids, compiled formulas, conjunctions
-        self.ids, self._compiled, self._conjunctions = defs._audit_cache
+        self.shared, self.own = defs._audit_cache, ({}, {}, {})
+        if constraints not in self.shared[2]:
+            # built before any certificate atom is numbered, then handed over
+            for formulas in (constraints, *((g,) for g in constraints)):
+                self.conjunction(formulas)
+            for theirs, mine in zip(self.shared, self.own):
+                theirs.update(mine)
+            self.own = ({}, {}, {})
+        self.background = self.shared[2][constraints]
 
     def id_of(self, key: str) -> int:
-        return self.ids.setdefault(key, len(self.ids) + 1)
+        ids, own = self.shared[0], self.own[0]
+        return ids.get(key) or own.setdefault(key, len(ids) + len(own) + 1)
 
     def compile(self, f: Formula) -> tuple[_Part, ...]:
         """The top-level conjuncts of ``f`` after ground expansion."""
-        got = self._compiled.get(f)
+        got = self.shared[1].get(f) or self.own[1].get(f)
         if got is None:
             top, neg, kind, operands = _flat(ground_expand(f, self.defs), False)
             parts = []
             for g, gneg in operands if kind == "and" else [(top, neg)]:
                 atoms: dict[int, str] = {}
                 parts.append(_Part(Not(g) if gneg else g, self._node(g, gneg, atoms), atoms))
-            got = self._compiled[f] = tuple(parts)
+            got = self.own[1][f] = tuple(parts)
         return got
 
     def conjunction(self, formulas: tuple[Formula, ...]) -> _Conjunction:
-        got = self._conjunctions.get(formulas)
+        got = self.shared[2].get(formulas) or self.own[2].get(formulas)
         if got is None:
-            got = self._conjunctions[formulas] = _Conjunction(
+            got = self.own[2][formulas] = _Conjunction(
                 [p for f in formulas for p in self.compile(f)]
             )
         return got
@@ -237,15 +250,14 @@ class _Audit:
 
     def satisfiable(self, formulas, fixed=None, background: _Conjunction | None = None) -> bool:
         """Whether some assignment extending ``fixed`` satisfies every
-        formula and ``background``, searching only the background's
-        conjuncts connected to the atoms of the formulas and of ``fixed``."""
+        formula and ``background`` (by default the constraints),
+        searching only the background's conjuncts connected to the atoms
+        of the formulas and of ``fixed``."""
         parts = [p for f in formulas for p in self.compile(f)]
-        if background is not None:
-            seed = [a for p in parts for a in p.atoms] + list(fixed or ())
-            parts += [background.parts[i] for i in background.component(seed)]
-        if not self.confirmed(parts, fixed):
-            return False
-        return background is None or background.satisfiable(self)
+        background = background or self.background
+        seed = [a for p in parts for a in p.atoms] + list(fixed or ())
+        parts += [background.parts[i] for i in background.component(seed)]
+        return self.confirmed(parts, fixed) and background.satisfiable(self)
 
     def confirmed(self, parts: list[_Part], fixed: dict[int, bool] | None = None) -> bool:
         """Search ``parts`` under ``fixed``; a model found is confirmed by
@@ -389,16 +401,14 @@ def _search(nodes: list, asg: dict[int, bool]) -> dict[int, bool] | None:
 # Replay
 
 
-def _entails_clause(
-    audit: _Audit, source: Formula, clause, atom_ids: list[int], constraint: bool
-) -> bool:
+def _entails_clause(audit: _Audit, source: Formula, clause, atom_ids: list[int]) -> bool:
     """source |= clause: the source is unsatisfiable under the assignment
     that falsifies the clause.
 
     The search first simplifies the source under that assignment, which
     settles the question when the source becomes FALSE; otherwise it
-    branches only on the atoms still undetermined, and in a constraint
-    only on the conjuncts connected to the clause.
+    branches only on the atoms still undetermined, in the conjuncts of
+    the source connected to the clause.
     """
     fixed: dict[int, bool] = {}
     tautology = False
@@ -407,9 +417,7 @@ def _entails_clause(
             raise ReplayFailed(f"literal {lit} indexes outside the atom table")
         if fixed.setdefault(atom_ids[abs(lit) - 1], lit < 0) != (lit < 0):
             tautology = True  # two literal ids name one atom with both signs
-    if constraint:
-        return tautology or not audit.satisfiable([], fixed, audit.conjunction((source,)))
-    return tautology or not audit.satisfiable([source], fixed)
+    return tautology or not audit.satisfiable([], fixed, audit.conjunction((source,)))
 
 
 def replay_refutation(
@@ -435,7 +443,7 @@ def replay_refutation(
     if formula_text(r.conclusion) != formula_text(Not(cert.candidate.body)):
         raise ReplayFailed("conclusion is not the negation of the candidate body")
 
-    audit = _Audit(defs)
+    audit = _Audit(defs, constraints)
     atom_ids = [audit.id_of(key) for key in r.atoms]
     seen: list[tuple[int, ...]] = []
     for n, step in enumerate(r.steps):
@@ -455,7 +463,7 @@ def replay_refutation(
                 body = cert.candidate.body
             else:
                 raise ReplayFailed(f"step {n} has unknown source {step.source!r}")
-            if not _entails_clause(audit, body, step.clause, atom_ids, kind == "constraint"):
+            if not _entails_clause(audit, body, step.clause, atom_ids):
                 raise ReplayFailed(
                     f"step {n}: clause {list(step.clause)} does not follow from its source"
                 )
@@ -495,11 +503,10 @@ def check_minimality(
     store the blame cannot be pinned on the candidate and this audit
     (rightly) refuses the certificate.
     """
-    audit = _Audit(defs)
-    background = audit.conjunction(tuple(constraints))
+    audit = _Audit(defs, constraints)
     bodies = [c.body for c in cert.conflicting_claims]
     for i, member in enumerate(cert.conflicting_claims):
-        if not audit.satisfiable(bodies[:i] + bodies[i + 1 :], background=background):
+        if not audit.satisfiable(bodies[:i] + bodies[i + 1 :]):
             raise NotMinimal(f"already contradictory without {claim_text(member)}")
 
 

@@ -276,11 +276,12 @@ class DefinitionSet:
     ``refute`` caches, per ``(formula, max_clauses)``, what it derives
     from one claim body or constraint alone: the formula's ground atom
     keys in first-occurrence order and its non-tautological clauses over
-    local 1-based atom ids.  The certificate auditor keeps its atom
-    table and compiled formulas in ``_audit_cache``.  Neither cache is
-    ever invalidated, so both rely on one rule: the parser is the only
-    code that mutates a DefinitionSet, and it finishes before the first
-    ``refute`` or certificate check.
+    local 1-based atom ids.  The certificate auditor keeps in
+    ``_audit_cache`` what it derives from the constraints alone: their
+    atom table, compiled formulas and indexed conjunctions.  Neither
+    cache is ever invalidated, so both rely on one rule: the parser is
+    the only code that mutates a DefinitionSet, and it finishes before
+    the first ``refute`` or certificate check.
     """
 
     domains: dict[str, tuple[Value, ...]] = field(default_factory=dict)
@@ -638,17 +639,23 @@ def atom_key(f: Formula) -> str:
 def residual_atoms(f: Formula) -> list[str]:
     """Ordered unique atom keys of a residual (expanded) formula."""
     seen: dict[str, None] = {}
-    todo = [f]
-    while todo:
-        g = todo.pop()
+
+    def walk(g):
+        if isinstance(g, (TrueF, FalseF)):
+            return
         if isinstance(g, (Atom, Cmp)):
             seen.setdefault(atom_key(g))
-        elif isinstance(g, Not):
-            todo.append(g.sub)
-        elif isinstance(g, (And, Or, Implies)):
-            todo += (g.rhs, g.lhs)
-        elif not isinstance(g, (TrueF, FalseF)):
-            raise LogicError(f"not residual: {formula_text(g)}")
+            return
+        if isinstance(g, Not):
+            walk(g.sub)
+            return
+        if isinstance(g, (And, Or, Implies)):
+            walk(g.lhs)
+            walk(g.rhs)
+            return
+        raise LogicError(f"not residual: {formula_text(g)}")
+
+    walk(f)
     return list(seen)
 
 

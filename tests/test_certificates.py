@@ -472,9 +472,11 @@ def node_atoms(nodes) -> set[int]:
     return out
 
 
-def test_later_checks_follow_the_certificate_not_the_universe(monkeypatch):
-    # claims-12x3: the constraint grounds to 72 conjuncts over 36 atoms,
-    # but each certificate is about one item, whose component has 3 atoms
+def claims_12x3():
+    """A freshly parsed claims-12x3 scenario and its 3 certificates read
+    back from text.  The constraint grounds to 72 conjuncts over 36
+    atoms, but each certificate is about one item, whose component has
+    3 atoms."""
     items = ", ".join(f"i{i}" for i in range(12))
     lines = [
         "oracle O",
@@ -491,11 +493,16 @@ def test_later_checks_follow_the_certificate_not_the_universe(monkeypatch):
     engine.run()
     assert len(engine.certificates) == 3
     scenario = parse_scenario(source, name="claims-12x3")
-    defs = scenario.contract.defs
     certs = [
         certificate_from_text(certificate_to_text(c), lambda s: parse_formula(s, scenario))
         for c in engine.certificates
     ]
+    return scenario, certs
+
+
+def test_later_checks_follow_the_certificate_not_the_universe(monkeypatch):
+    scenario, certs = claims_12x3()
+    defs = scenario.contract.defs
     check_certificate(certs[0], defs.constraints, defs)  # grounds the constraint once
 
     expanded, searched = [], []
@@ -510,6 +517,29 @@ def test_later_checks_follow_the_certificate_not_the_universe(monkeypatch):
     )
     for cert in certs[1:]:
         check_certificate(cert, defs.constraints, defs)
-    # only the two new claim bodies of each certificate are grounded
-    assert len(expanded) == 4 and not set(expanded) & set(defs.constraints)
+    # only the two claim bodies of each certificate are grounded, once
+    # for the replay and once for the minimality audit
+    assert len(expanded) == 8 and len(set(expanded)) == 4
+    assert not set(expanded) & set(defs.constraints)
     assert searched and max(len(atoms) for atoms in searched) <= 3
+
+
+def test_certificates_leave_nothing_behind_in_the_contract_cache():
+    # the contract keeps only what it derives from its constraints; the
+    # atoms and bodies a certificate brings, valid or not, are dropped
+    scenario, certs = claims_12x3()
+    defs = scenario.contract.defs
+    check_certificate(certs[0], defs.constraints, defs)
+    sizes = [len(table) for table in defs._audit_cache]
+    assert set(defs._audit_cache[2]) == {defs.constraints} | {(g,) for g in defs.constraints}
+    verdicts = []
+    for n in range(30):
+        cert = certs[n % 3]
+        r = cert.refutation
+        fresh = dataclasses.replace(r, atoms=tuple(f"fresh{n}_{k}" for k in range(len(r.atoms))))
+        body = f"st(i{n % 12}, v{n % 3}) | !st(i{(n + 1) % 12}, v{n // 12})"
+        pad = Claim("O", parse_formula(body, scenario), "bp")
+        for c in (cert, flipped(cert), with_member(cert, pad), dataclasses.replace(cert, refutation=fresh)):
+            verdicts.append(verdict(c, defs.constraints, defs))
+    assert [len(table) for table in defs._audit_cache] == sizes
+    assert {None, "ReplayFailed", "NotMinimal"} <= set(verdicts)

@@ -15,6 +15,7 @@ grammar.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .blocktree import OracleConfig
@@ -161,9 +162,6 @@ class Contract:
                 return a
         return None
 
-    def is_authority(self, aid: str) -> bool:
-        return aid == TIME_ORACLE or self.agent(aid) is not None
-
     def wallets(self) -> tuple[Agent, ...]:
         return tuple(a for a in self.agents if a.kind == "wallet")
 
@@ -207,271 +205,388 @@ class Scenario:
 
 # ---------------------------------------------------------------------------
 # Lexer
+#
+# A token is its source text: an identifier, a decimal integer, a string
+# literal with its quotes and escapes, or an operator.  One match skips
+# blanks and comments and captures the next token.  At the end of the
+# text it captures "", and at a character no token starts with it
+# captures the rest of the text, so a findall yields the tokens, then at
+# most one bad rest, then "".  Positions are worked out from offsets,
+# and only for an error.
+
+_SKIP = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+_VALID = re.compile(
+    r'[A-Za-z_][A-Za-z0-9_]*|[0-9]+|"[^"\\]*(?:\\[\s\S][^"\\]*)*"'
+    r"|->|<=|>=|!=|:=|[()\[\]{},;:.=<>!&|-]"
+)
+_TOKEN = re.compile(rf"{_SKIP}({_VALID.pattern}|\Z|[\s\S]+)")
+_ESCAPE = re.compile(r"\\([\s\S])")
+_EOF = ""  # a string literal's token keeps its quotes, so no token is empty
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # ident | int | string | op | eof
-    value: object
-    line: int
-    col: int
-
-
-_TWO_CHAR = ("->", "<=", ">=", "!=", ":=")
-_ONE_CHAR = "()[]{},;:.=<>!&|-"
-
-
-def _lex(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", int(text[i:j]), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    out.append(text[j + 1])
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string", line, start_col)
-            toks.append(_Tok("string", "".join(out), line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR:
-            toks.append(_Tok("op", two, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in _ONE_CHAR:
-            toks.append(_Tok("op", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"stray character {c!r}", line, start_col)
-    toks.append(_Tok("eof", None, line, col))
+def _lex(text: str) -> list[str]:
+    toks = _TOKEN.findall(text)
+    rest = toks[-2] if len(toks) > 1 else _EOF
+    if rest and not _VALID.fullmatch(rest):
+        msg = "unterminated string" if rest[0] == '"' else f"stray character {rest[0]!r}"
+        raise ParseError(msg, *_line_col(text, len(text) - len(rest)))
+    toks.append(_EOF)  # look-ahead past the end reads end of input
     return toks
 
 
-_STATEMENT_KEYWORDS = {
-    "agent",
-    "oracle",
-    "domain",
-    "function",
-    "map",
-    "predicate",
-    "atom",
-    "constraint",
-    "issue",
-    "after",
-}
-_SCENARIO_KEYWORDS = {"tokens", "seed", "horizon", "at", "fact"}
+def _unquote(tok: str) -> str:
+    return _ESCAPE.sub(r"\1", tok[1:-1])
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
+_COMPARISONS = frozenset(("=", "!=", "<", "<=", ">", ">="))
+_SCENARIO_KEYWORDS = {"tokens", "seed", "horizon", "at", "fact"}
+_STATEMENTS = {
+    "agent": "p_agent",
+    "oracle": "p_oracle",
+    "domain": "p_domain",
+    "function": "p_function",
+    "map": "p_map",
+    "predicate": "p_predicate",
+    "atom": "p_atom",
+    "constraint": "p_constraint",
+    "issue": "p_action",
+    "after": "p_action",
+    "tokens": "p_tokens",
+    "seed": "p_seed",
+    "horizon": "p_horizon",
+    "at": "p_event",
+    "fact": "p_fact",
+}
+
 
 class _Parser:
-    def __init__(self, text: str, *, scenario: bool, name: str = "scenario"):
+    """Formulas and terms, read in the declaration context of a contract."""
+
+    def __init__(self, text: str, contract: Contract):
+        self.text = text
         self.toks = _lex(text)
         self.pos = 0
-        self.scenario_mode = scenario
-        self.name = name
-        self.contract = Contract()
-        self._agents: list[Agent] = []
-        self._actions: list[Action] = []
-        self._events: list[Event] = []
-        self._facts: list[tuple[str, tuple[Value, ...]]] = []
-        self._labels: set[str] = set()
-        self._oracle: OracleConfig | None = None
-        self._seed: int | None = None
-        self._horizon: int | None = None
-        self._auto_label = 0
+        self.defs = contract.defs
+        self.agents = {a.id: a for a in contract.agents}
 
     # -- token plumbing ---------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def fail(self, msg: str, at: int | None = None, err=ParseError):
+        """Raise ``err`` located at token ``at`` (default: the current one)."""
+        starts = [m.start(1) for m in _TOKEN.finditer(self.text)]
+        at = self.pos if at is None else at
+        raise err(msg, *_line_col(self.text, starts[min(at, len(starts) - 1)]))
 
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
+    def take(self, tok: str) -> bool:
+        if self.toks[self.pos] == tok:
             self.pos += 1
-        return t
-
-    def fail(self, msg: str, tok: _Tok | None = None, err=ParseError):
-        tok = tok or self.peek()
-        raise err(msg, tok.line, tok.col)
-
-    def expect_op(self, op: str) -> _Tok:
-        t = self.peek()
-        if t.kind != "op" or t.value != op:
-            self.fail(f"expected {op!r}")
-        return self.next()
-
-    def expect_ident(self, what: str = "identifier") -> _Tok:
-        t = self.peek()
-        if t.kind != "ident":
-            self.fail(f"expected {what}")
-        return self.next()
-
-    def expect_int(self, what: str = "integer") -> _Tok:
-        t = self.peek()
-        if t.kind != "int":
-            self.fail(f"expected {what}")
-        return self.next()
-
-    def at_keyword(self, kw: str) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.value == kw
-
-    def take_keyword(self, kw: str) -> bool:
-        if self.at_keyword(kw):
-            self.next()
             return True
         return False
 
-    # -- entry points -----------------------------------------------------
+    def expect(self, tok: str):
+        if self.toks[self.pos] != tok:
+            self.fail(f"expected {tok!r}")
+        self.pos += 1
+
+    def expect_ident(self, what: str = "identifier") -> str:
+        tok = self.toks[self.pos]
+        if not tok.isidentifier():
+            self.fail(f"expected {what}")
+        self.pos += 1
+        return tok
+
+    def expect_int(self, what: str = "integer") -> int:
+        tok = self.toks[self.pos]
+        if not tok.isdigit():
+            self.fail(f"expected {what}")
+        self.pos += 1
+        return int(tok)
+
+    def _wallet(self, what: str) -> str:
+        at = self.pos
+        aid = self.expect_ident(what)
+        a = self.agents.get(aid)
+        if a is None or a.kind != "wallet":
+            self.fail(f"{aid!r} is not a declared wallet agent", at, UnknownAgent)
+        return aid
+
+    # -- formulas ---------------------------------------------------------
+
+    def formula(self, bound: set[str]) -> Formula:
+        left = self.f_or(bound)
+        if self.toks[self.pos] == "->":
+            self.pos += 1
+            return Implies(left, self.formula(bound))  # right-associative
+        return left
+
+    def f_or(self, bound) -> Formula:
+        left = self.f_and(bound)
+        while self.toks[self.pos] == "|":
+            self.pos += 1
+            left = Or(left, self.f_and(bound))
+        return left
+
+    def f_and(self, bound) -> Formula:
+        left = self.f_unary(bound)
+        while self.toks[self.pos] == "&":
+            self.pos += 1
+            left = And(left, self.f_unary(bound))
+        return left
+
+    def f_unary(self, bound) -> Formula:
+        tok = self.toks[self.pos]
+        if tok == "!":
+            self.pos += 1
+            return Not(self.f_unary(bound))
+        if tok == "forall" or tok == "exists":
+            self.pos += 1
+            var = self.expect_ident("variable")
+            self.expect("in")
+            at = self.pos
+            dom = self.expect_ident("domain")
+            if dom not in self.defs.domains:
+                self.fail(f"domain {dom!r} is not declared", at, UndeclaredName)
+            self.expect(".")
+            body = self.formula(bound | {var})
+            return (ForAll if tok == "forall" else Exists)(var, dom, body)
+        return self.f_primary(bound)
+
+    def f_primary(self, bound) -> Formula:
+        at = self.pos
+        tok = self.toks[at]
+        if tok == "true":
+            self.pos += 1
+            return TRUE
+        if tok == "false":
+            self.pos += 1
+            return FALSE
+        if tok == "(":
+            self.pos += 1
+            inner = self.formula(bound)
+            self.expect(")")
+            return inner
+        lhs = self.term(bound)
+        op = self.toks[self.pos]
+        if op in _COMPARISONS:
+            self.pos += 1
+            rhs = self.term(bound)
+            self._resolve_term(lhs)
+            self._resolve_term(rhs)
+            if self.toks[self.pos] in _COMPARISONS:
+                self.fail("comparisons do not chain")
+            return Cmp(op, lhs, rhs)
+        return self._term_as_atom(lhs, at)
+
+    def _term_as_atom(self, lhs: Term, at: int) -> Formula:
+        d = self.defs
+        if isinstance(lhs, FnApp):
+            arity = d.atom_arity(lhs.name)
+            if lhs.name in d.predicates:
+                arity = len(d.predicates[lhs.name].params)
+            elif lhs.name in BUILTIN_PREDICATES:
+                arity = BUILTIN_PREDICATES[lhs.name]
+            if arity is None:
+                if lhs.name in d.functions or lhs.name in BUILTIN_FUNCTIONS:
+                    self.fail(f"function {lhs.name!r} is not a formula", at)
+                self.fail(f"predicate {lhs.name!r} is not declared", at, UndeclaredName)
+            if arity != len(lhs.args):
+                self.fail(f"{lhs.name} expects {arity} argument(s)", at, ArityError)
+            for a in lhs.args:
+                self._resolve_term(a)
+            return Atom(lhs.name, lhs.args)
+        if isinstance(lhs, Constant):
+            name = lhs.value
+            arity = d.atom_arity(name)
+            if name in d.predicates:
+                arity = len(d.predicates[name].params)
+            if arity is None:
+                self.fail(f"predicate {name!r} is not declared", at, UndeclaredName)
+            if arity != 0:
+                self.fail(f"{name} expects {arity} argument(s)", at, ArityError)
+            return Atom(name)
+        self.fail("expected a formula", at)
+
+    # -- terms ------------------------------------------------------------
+
+    def term(self, bound: set[str]) -> Term:
+        at = self.pos
+        tok = self.toks[at]
+        self.pos = at + 1
+        if tok.isidentifier():
+            if self.toks[self.pos] == "(":
+                self.pos += 1
+                args: list[Term] = []
+                while self.toks[self.pos] != ")":
+                    args.append(self.term(bound))
+                    self.take(",")
+                self.pos += 1
+                return FnApp(tok, tuple(args))
+            if tok in bound:
+                return Var(tok)
+            if tok in self.agents:
+                return AgentRef(tok)
+            return Constant(tok)
+        if tok.isdigit():
+            return IntLit(int(tok))
+        if tok == "-":
+            return IntLit(-self.expect_int("integer"))
+        if tok[:1] == '"':
+            return Constant(_unquote(tok))
+        if tok == "|":
+            wallet = self._wallet("wallet")
+            self.expect("|")
+            return BalanceOf(wallet)
+        self.fail("expected a term", at)
+
+    def _resolve_term(self, t: Term):
+        """Check nested applications really are functions of right arity."""
+        if isinstance(t, FnApp):
+            d = self.defs
+            if t.name in BUILTIN_FUNCTIONS:
+                arity = BUILTIN_FUNCTIONS[t.name]
+            elif t.name in d.functions:
+                arity = d.functions[t.name].arity
+            elif (
+                t.name in d.predicates
+                or d.atom_arity(t.name) is not None
+                or t.name in BUILTIN_PREDICATES
+            ):
+                self.fail(f"predicate {t.name!r} is not a term")
+            else:
+                self.fail(f"function {t.name!r} is not declared", err=UndeclaredName)
+            if arity != len(t.args):
+                self.fail(f"{t.name} expects {arity} argument(s)", err=ArityError)
+            for a in t.args:
+                self._resolve_term(a)
+
+
+class _FileParser(_Parser):
+    """Statements of a contract file or, with ``scenario``, a scenario file."""
+
+    def __init__(self, text: str, *, scenario: bool, name: str = "scenario"):
+        self.contract = Contract()
+        super().__init__(text, self.contract)
+        self.scenario_mode = scenario
+        self.name = name
+        self.actions: list[Action] = []
+        self.bindings: set[str] = set()
+        self.labels: set[str] = set()
+        self.events: list[Event] = []
+        self.facts: list[tuple[str, tuple[Value, ...]]] = []
+        self.oracle: OracleConfig | None = None
+        self.seed: int | None = None
+        self.horizon: int | None = None
+        self.auto_label = 0
 
     def parse(self):
-        while self.peek().kind != "eof":
-            if self.peek().kind == "op" and self.peek().value == ";":
-                self.next()
-                continue
-            self.statement()
-        self.contract.agents = tuple(self._agents)
-        self.contract.actions = tuple(self._actions)
+        while self.toks[self.pos] != _EOF:
+            if not self.take(";"):
+                self.statement()
+        self.contract.agents = tuple(self.agents.values())
+        self.contract.actions = tuple(self.actions)
         if not self.scenario_mode:
             return self.contract
-        events = sorted(self._events, key=lambda e: e.tick)  # stable on script order
-        horizon = self._horizon if self._horizon is not None else 0
+        events = sorted(self.events, key=lambda e: e.tick)  # stable on script order
+        horizon = self.horizon if self.horizon is not None else 0
         if events:
             horizon = max(horizon, max(e.tick for e in events))
         return Scenario(
             contract=self.contract,
             events=tuple(events),
-            oracle=self._oracle or OracleConfig.frugal(1),
-            seed=self._seed or 0,
+            oracle=self.oracle or OracleConfig.frugal(1),
+            seed=self.seed or 0,
             horizon=horizon,
-            facts=tuple(self._facts),
+            facts=tuple(self.facts),
             name=self.name,
         )
 
     def statement(self):
-        t = self.peek()
-        if t.kind != "ident":
+        kw = self.toks[self.pos]
+        if not kw.isidentifier():
             self.fail("expected a declaration, action or event")
-        kw = t.value
         if kw in _SCENARIO_KEYWORDS and not self.scenario_mode:
             self.fail(f"{kw!r} statements belong in scenarios, not bare contracts")
-        handler = {
-            "agent": self.p_agent,
-            "oracle": self.p_oracle,
-            "domain": self.p_domain,
-            "function": self.p_function,
-            "map": self.p_map,
-            "predicate": self.p_predicate,
-            "atom": self.p_atom,
-            "constraint": self.p_constraint,
-            "issue": self.p_action,
-            "after": self.p_action,
-            "tokens": self.p_tokens,
-            "seed": self.p_seed,
-            "horizon": self.p_horizon,
-            "at": self.p_event,
-            "fact": self.p_fact,
-        }.get(kw)
-        if handler is None:
+        if kw not in _STATEMENTS:
             self.fail(f"unknown statement {kw!r}")
-        handler()
+        getattr(self, _STATEMENTS[kw])()
+
+    def _declared(self, what: str) -> tuple[int, str]:
+        """Skip the statement keyword; the position and text of the name after it."""
+        self.pos += 1
+        at = self.pos
+        return at, self.expect_ident(what)
+
+    def _ground_value(self, msg: str = "expected a constant value") -> Value:
+        tok = self.toks[self.pos]
+        self.pos += 1
+        if tok.isidentifier():
+            return tok
+        if tok.isdigit():
+            return int(tok)
+        if tok[:1] == '"':
+            return _unquote(tok)
+        self.fail(msg, self.pos - 1)
+
+    def _ground_args(self) -> list[Value]:
+        """A parenthesized list of constants; commas are optional."""
+        self.expect("(")
+        args: list[Value] = []
+        while self.toks[self.pos] != ")":
+            args.append(self._ground_value())
+            self.take(",")
+        self.pos += 1
+        return args
+
+    def _params(self) -> list[str]:
+        """A parenthesized list of parameter names; commas are optional."""
+        self.expect("(")
+        names: list[str] = []
+        while self.toks[self.pos] != ")":
+            names.append(self.expect_ident("parameter"))
+            self.take(",")
+        self.pos += 1
+        return names
 
     # -- declarations -----------------------------------------------------
 
-    def _declare_agent(self, tok: _Tok, kind: str, balance: int = 0):
-        aid = tok.value
+    def _declare_agent(self, at: int, aid: str, kind: str, balance: int = 0):
         if aid in (TIME_ORACLE, VALIDATION_AUTHORITY):
-            self.fail(f"{aid!r} is reserved", tok, DuplicateAgent)
-        if self.contract.agent(aid) is not None:
-            self.fail(f"agent {aid!r} declared twice", tok, DuplicateAgent)
-        self._agents.append(Agent(aid, kind, balance))
-        self.contract.agents = tuple(self._agents)
+            self.fail(f"{aid!r} is reserved", at, DuplicateAgent)
+        if aid in self.agents:
+            self.fail(f"agent {aid!r} declared twice", at, DuplicateAgent)
+        self.agents[aid] = Agent(aid, kind, balance)
 
     def p_agent(self):
-        self.next()
-        tok = self.expect_ident("agent id")
-        balance = 0
-        if self.take_keyword("balance"):
-            balance = self.expect_int("balance").value
-        self._declare_agent(tok, "wallet", balance)
+        at, aid = self._declared("agent id")
+        balance = self.expect_int("balance") if self.take("balance") else 0
+        self._declare_agent(at, aid, "wallet", balance)
 
     def p_oracle(self):
-        self.next()
-        tok = self.expect_ident("oracle id")
-        if self.at_keyword("balance"):
-            self.fail("oracles hold no balance", self.peek())
-        self._declare_agent(tok, "oracle")
+        at, aid = self._declared("oracle id")
+        if self.toks[self.pos] == "balance":
+            self.fail("oracles hold no balance")
+        self._declare_agent(at, aid, "oracle")
 
     def p_domain(self):
-        self.next()
-        tok = self.expect_ident("domain name")
-        name = tok.value
-        if name in self.contract.defs.domains:
-            self.fail(f"domain {name!r} declared twice", tok, DuplicateDefinition)
-        self.expect_op("=")
-        self.expect_op("{")
+        at, name = self._declared("domain name")
+        if name in self.defs.domains:
+            self.fail(f"domain {name!r} declared twice", at, DuplicateDefinition)
+        self.expect("=")
+        self.expect("{")
         members: list[Value] = []
-        while not (self.peek().kind == "op" and self.peek().value == "}"):
-            m = self.next()
-            if m.kind == "ident" or m.kind == "string":
-                members.append(m.value)
-            elif m.kind == "int":
-                members.append(m.value)
-            else:
-                self.fail("domain members are identifiers or integers", m)
-            if self.peek().kind == "op" and self.peek().value == ",":
-                self.next()
-        self.expect_op("}")
-        self.contract.defs.domains[name] = tuple(members)
+        while self.toks[self.pos] != "}":
+            members.append(self._ground_value("domain members are identifiers or integers"))
+            self.take(",")
+        self.pos += 1
+        self.defs.domains[name] = tuple(members)
 
     def _taken_symbol(self, name: str) -> bool:
-        d = self.contract.defs
+        d = self.defs
         return (
             name in d.functions
             or name in d.predicates
@@ -481,168 +596,111 @@ class _Parser:
             or name in RESERVED_ATOMS
         )
 
-    def p_function(self):
-        self.next()
-        tok = self.expect_ident("function name")
-        name = tok.value
+    def _new_symbol(self, what: str) -> str:
+        at, name = self._declared(what)
         if self._taken_symbol(name):
-            self.fail(f"symbol {name!r} declared twice", tok, DuplicateDefinition)
-        self.expect_op("(")
-        params: list[str] = []
-        while not (self.peek().kind == "op" and self.peek().value == ")"):
-            params.append(self.expect_ident("parameter").value)
-            if self.peek().kind == "op" and self.peek().value == ",":
-                self.next()
-        self.expect_op(")")
-        body = None
-        if self.peek().kind == "op" and self.peek().value == "=":
-            self.next()
-            body = self.term(bound=set(params))
-        self.contract.defs.functions[name] = FunctionDef(
-            name, len(params), params=tuple(params), body=body
-        )
+            self.fail(f"symbol {name!r} declared twice", at, DuplicateDefinition)
+        return name
+
+    def p_function(self):
+        name = self._new_symbol("function name")
+        params = self._params()
+        body = self.term(set(params)) if self.take("=") else None
+        self.defs.functions[name] = FunctionDef(name, len(params), params=tuple(params), body=body)
 
     def p_map(self):
-        self.next()
-        tok = self.expect_ident("function name")
-        name = tok.value
-        d = self.contract.defs
-        fd = d.functions.get(name)
-        self.expect_op("(")
-        args: list[Value] = []
-        while not (self.peek().kind == "op" and self.peek().value == ")"):
-            args.append(self._ground_value())
-            if self.peek().kind == "op" and self.peek().value == ",":
-                self.next()
-        self.expect_op(")")
-        self.expect_op("=")
+        at, name = self._declared("function name")
+        fd = self.defs.functions.get(name)
+        key = tuple(self._ground_args())
+        self.expect("=")
         value = self._ground_value()
         if fd is None:
             if self._taken_symbol(name):
-                self.fail(f"{name!r} is not a mappable function", tok, DuplicateDefinition)
-            fd = FunctionDef(name, len(args))
-            d.functions[name] = fd
+                self.fail(f"{name!r} is not a mappable function", at, DuplicateDefinition)
+            fd = self.defs.functions[name] = FunctionDef(name, len(key))
         if fd.body is not None:
-            self.fail(f"{name!r} already has a defined body", tok, DuplicateDefinition)
-        if fd.arity != len(args):
-            self.fail(f"{name} expects {fd.arity} argument(s)", tok, ArityError)
-        key = tuple(args)
+            self.fail(f"{name!r} already has a defined body", at, DuplicateDefinition)
+        if fd.arity != len(key):
+            self.fail(f"{name} expects {fd.arity} argument(s)", at, ArityError)
         if key in fd.table:
-            self.fail(f"duplicate map entry for {name}{key!r}", tok, DuplicateDefinition)
+            self.fail(f"duplicate map entry for {name}{key!r}", at, DuplicateDefinition)
         fd.table[key] = value
 
-    def _ground_value(self) -> Value:
-        t = self.next()
-        if t.kind in ("ident", "string"):
-            return t.value
-        if t.kind == "int":
-            return t.value
-        self.fail("expected a constant value", t)
-
     def p_predicate(self):
-        self.next()
-        tok = self.expect_ident("predicate name")
-        name = tok.value
-        if self._taken_symbol(name):
-            self.fail(f"symbol {name!r} declared twice", tok, DuplicateDefinition)
-        self.expect_op("(")
-        params: list[str] = []
-        while not (self.peek().kind == "op" and self.peek().value == ")"):
-            params.append(self.expect_ident("parameter").value)
-            if self.peek().kind == "op" and self.peek().value == ",":
-                self.next()
-        self.expect_op(")")
-        self.expect_op(":=")
-        body = self.formula(bound=set(params))
-        self.contract.defs.predicates[name] = PredicateDef(name, tuple(params), body)
+        name = self._new_symbol("predicate name")
+        params = self._params()
+        self.expect(":=")
+        body = self.formula(set(params))
+        self.defs.predicates[name] = PredicateDef(name, tuple(params), body)
 
     def p_atom(self):
-        self.next()
-        tok = self.expect_ident("atom name")
-        name = tok.value
-        if self._taken_symbol(name):
-            self.fail(f"symbol {name!r} declared twice", tok, DuplicateDefinition)
-        arity = 0
-        if self.peek().kind == "op" and self.peek().value == "(":
-            self.next()
-            while not (self.peek().kind == "op" and self.peek().value == ")"):
-                self.expect_ident("parameter")
-                arity += 1
-                if self.peek().kind == "op" and self.peek().value == ",":
-                    self.next()
-            self.expect_op(")")
-        self.contract.defs.atoms[name] = arity
+        name = self._new_symbol("atom name")
+        self.defs.atoms[name] = len(self._params()) if self.toks[self.pos] == "(" else 0
 
     def p_constraint(self):
-        self.next()
-        f = self.formula(bound=set())
-        self.contract.defs.constraints = self.contract.defs.constraints + (f,)
+        self.pos += 1
+        self.defs.constraints = self.defs.constraints + (self.formula(set()),)
 
     # -- actions ----------------------------------------------------------
 
     def p_action(self):
         deps: list[str] = []
-        if self.take_keyword("after"):
-            self.expect_op("[")
-            while not (self.peek().kind == "op" and self.peek().value == "]"):
+        if self.take("after"):
+            self.expect("[")
+            while self.toks[self.pos] != "]":
+                at = self.pos
                 dep = self.expect_ident("dependency binding")
-                if dep.value not in {a.binding for a in self._actions}:
+                if dep not in self.bindings:
                     self.fail(
-                        f"dependency {dep.value!r} is not an earlier binding",
-                        dep,
-                        ForwardDependency,
+                        f"dependency {dep!r} is not an earlier binding", at, ForwardDependency
                     )
-                deps.append(dep.value)
-                if self.peek().kind == "op" and self.peek().value == ",":
-                    self.next()
-            self.expect_op("]")
-        if not self.take_keyword("issue"):
-            self.fail("expected 'issue'")
-        btok = self.expect_ident("binding")
-        binding = btok.value
-        if binding in {a.binding for a in self._actions} or binding in self._labels:
-            self.fail(f"binding {binding!r} used twice", btok, DuplicateBinding)
-        self.expect_op("=")
-        if not self.take_keyword("tx"):
-            self.fail("expected 'tx'")
+                deps.append(dep)
+                self.take(",")
+            self.pos += 1
+        self.expect("issue")
+        at = self.pos
+        binding = self.expect_ident("binding")
+        if binding in self.bindings or binding in self.labels:
+            self.fail(f"binding {binding!r} used twice", at, DuplicateBinding)
+        self.expect("=")
+        self.expect("tx")
         tx = self.p_transaction()
-        self._actions.append(Action(binding, tuple(deps), tx))
-        self.contract.actions = tuple(self._actions)
+        self.bindings.add(binding)
+        self.actions.append(Action(binding, tuple(deps), tx))
 
     def p_transaction(self) -> Transaction:
-        stok = self.expect_ident("source agent")
-        source = self._wallet(stok)
-        self.expect_op("-")
-        self.expect_op("(")
-        qtok = self.expect_int("amount")
-        if qtok.value <= 0:
-            self.fail("amount must be strictly positive", qtok, NonPositiveAmount)
-        self.expect_op(")")
-        self.expect_op("[")
+        source = self._wallet("source agent")
+        self.expect("-")
+        self.expect("(")
+        at = self.pos
+        amount = self.expect_int("amount")
+        if amount <= 0:
+            self.fail("amount must be strictly positive", at, NonPositiveAmount)
+        self.expect(")")
+        self.expect("[")
         guard = self.p_guard()
-        self.expect_op("]")
-        self.expect_op("->")
-        ktok = self.expect_ident("sink agent")
-        sink = self._wallet(ktok)
+        self.expect("]")
+        self.expect("->")
+        at = self.pos
+        sink = self._wallet("sink agent")
         if source == sink:
-            self.fail("source and sink must differ", ktok, SourceIsSink)
-        return Transaction(source, qtok.value, guard, sink)
+            self.fail("source and sink must differ", at, SourceIsSink)
+        return Transaction(source, amount, guard, sink)
 
-    def _wallet(self, tok: _Tok) -> str:
-        a = self.contract.agent(tok.value)
-        if a is None or a.kind != "wallet":
-            self.fail(f"{tok.value!r} is not a declared wallet agent", tok, UnknownAgent)
-        return a.id
+    def _authority(self) -> str:
+        """An endorsing authority and the ':' before its claim body."""
+        at = self.pos
+        aid = self.expect_ident("authority")
+        if aid != TIME_ORACLE and aid not in self.agents:
+            self.fail(f"unknown authority {aid!r}", at, UnknownAgent)
+        self.expect(":")
+        return aid
 
     def p_guard(self) -> Guard:
-        if self.take_keyword("claim"):
-            atok = self.expect_ident("authority")
-            if not self.contract.is_authority(atok.value):
-                self.fail(f"unknown authority {atok.value!r}", atok, UnknownAgent)
-            self.expect_op(":")
-            body = self.formula(bound=set())
-            return ClaimedGuard(Claim(atok.value, body))
-        f = self.formula(bound=set())
+        if self.take("claim"):
+            authority = self._authority()
+            return ClaimedGuard(Claim(authority, self.formula(set())))
+        f = self.formula(set())
         self._require_computable(f)
         return ClosedGuard(f)
 
@@ -651,7 +709,7 @@ class _Parser:
 
         def bad(term: Term):
             if isinstance(term, FnApp):
-                fd = self.contract.defs.functions.get(term.name)
+                fd = self.defs.functions.get(term.name)
                 if fd is not None and fd.kind == "uninterpreted":
                     raise UncomputableGuard(
                         f"closed guard uses uninterpreted function {term.name!r}"
@@ -679,256 +737,76 @@ class _Parser:
     # -- scenario statements ----------------------------------------------
 
     def p_tokens(self):
-        tok = self.next()
-        if self._oracle is not None:
-            self.fail("tokens policy declared twice", tok, DuplicateDefinition)
-        if self.take_keyword("prodigal"):
-            self._oracle = OracleConfig.prodigal()
-        elif self.take_keyword("frugal"):
-            k = self.expect_int("k").value
+        at = self.pos
+        self.pos += 1
+        if self.oracle is not None:
+            self.fail("tokens policy declared twice", at, DuplicateDefinition)
+        if self.take("prodigal"):
+            self.oracle = OracleConfig.prodigal()
+        elif self.take("frugal"):
+            k = self.expect_int("k")
             if k < 1:
-                self.fail("frugal k must be at least 1", tok)
-            self._oracle = OracleConfig.frugal(k)
+                self.fail("frugal k must be at least 1", at)
+            self.oracle = OracleConfig.frugal(k)
         else:
             self.fail("expected 'prodigal' or 'frugal k'")
 
     def p_seed(self):
-        tok = self.next()
-        if self._seed is not None:
-            self.fail("seed declared twice", tok, DuplicateDefinition)
-        self._seed = self.expect_int("seed").value
+        if self.seed is not None:
+            self.fail("seed declared twice", err=DuplicateDefinition)
+        self.pos += 1
+        self.seed = self.expect_int("seed")
 
     def p_horizon(self):
-        tok = self.next()
-        if self._horizon is not None:
-            self.fail("horizon declared twice", tok, DuplicateDefinition)
-        self._horizon = self.expect_int("horizon").value
+        if self.horizon is not None:
+            self.fail("horizon declared twice", err=DuplicateDefinition)
+        self.pos += 1
+        self.horizon = self.expect_int("horizon")
 
     def p_fact(self):
-        self.next()
-        tok = self.expect_ident("atom name")
-        name = tok.value
-        args: list[Value] = []
-        if self.peek().kind == "op" and self.peek().value == "(":
-            self.next()
-            while not (self.peek().kind == "op" and self.peek().value == ")"):
-                args.append(self._ground_value())
-                if self.peek().kind == "op" and self.peek().value == ",":
-                    self.next()
-            self.expect_op(")")
-        arity = self.contract.defs.atom_arity(name)
+        at, name = self._declared("atom name")
+        args = self._ground_args() if self.toks[self.pos] == "(" else []
+        arity = self.defs.atom_arity(name)
         if arity is None:
-            self.fail(f"atom {name!r} is not declared", tok, UndeclaredName)
+            self.fail(f"atom {name!r} is not declared", at, UndeclaredName)
         if arity != len(args):
-            self.fail(f"{name} expects {arity} argument(s)", tok, ArityError)
-        self._facts.append((name, tuple(args)))
+            self.fail(f"{name} expects {arity} argument(s)", at, ArityError)
+        self.facts.append((name, tuple(args)))
 
     def p_event(self):
-        self.next()
-        tick = self.expect_int("tick").value
+        self.pos += 1
+        tick = self.expect_int("tick")
+        at = self.pos
         kind = self.expect_ident("event kind")
-        if kind.value == "claim":
+        if kind == "claim":
             label = None
-            if (
-                self.peek().kind == "ident"
-                and self.peek(1).kind == "op"
-                and self.peek(1).value == "="
-            ):
-                ltok = self.next()
-                self.next()  # '='
-                label = ltok.value
-                if label in self._labels or label in {a.binding for a in self._actions}:
-                    self.fail(f"label {label!r} used twice", ltok, DuplicateBinding)
-            atok = self.expect_ident("authority")
-            if not self.contract.is_authority(atok.value):
-                self.fail(f"unknown authority {atok.value!r}", atok, UnknownAgent)
-            self.expect_op(":")
-            body = self.formula(bound=set())
-            if label is None:
-                label = f"claim{self._auto_label}"
-                self._auto_label += 1
-                while label in self._labels or any(
-                    a.binding == label for a in self._actions
-                ):
-                    label = f"claim{self._auto_label}"
-                    self._auto_label += 1
-            self._labels.add(label)
-            self._events.append(ClaimEvent(tick, label, Claim(atok.value, body)))
-        elif kind.value == "submit":
-            btok = self.expect_ident("binding")
-            if not any(a.binding == btok.value for a in self._actions):
-                self.fail(f"no action bound to {btok.value!r}", btok, UnknownBinding)
+            if self.toks[self.pos].isidentifier() and self.toks[self.pos + 1] == "=":
+                at = self.pos
+                label = self.toks[at]
+                self.pos += 2
+                if label in self.labels or label in self.bindings:
+                    self.fail(f"label {label!r} used twice", at, DuplicateBinding)
+            authority = self._authority()
+            body = self.formula(set())
+            while label is None or label in self.labels or label in self.bindings:
+                label = f"claim{self.auto_label}"
+                self.auto_label += 1
+            self.labels.add(label)
+            self.events.append(ClaimEvent(tick, label, Claim(authority, body)))
+        elif kind == "submit":
+            at = self.pos
+            binding = self.expect_ident("binding")
+            if binding not in self.bindings:
+                self.fail(f"no action bound to {binding!r}", at, UnknownBinding)
             by = None
-            if self.take_keyword("by"):
-                wtok = self.expect_ident("agent")
-                if self.contract.agent(wtok.value) is None:
-                    self.fail(f"unknown agent {wtok.value!r}", wtok, UnknownAgent)
-                by = wtok.value
-            self._events.append(SubmitEvent(tick, btok.value, by))
+            if self.take("by"):
+                at = self.pos
+                by = self.expect_ident("agent")
+                if by not in self.agents:
+                    self.fail(f"unknown agent {by!r}", at, UnknownAgent)
+            self.events.append(SubmitEvent(tick, binding, by))
         else:
-            self.fail(f"unknown event kind {kind.value!r}", kind, UnknownEventKind)
-
-    # -- formulas ---------------------------------------------------------
-
-    def formula(self, bound: set[str]) -> Formula:
-        return self.f_implies(bound)
-
-    def f_implies(self, bound) -> Formula:
-        left = self.f_or(bound)
-        if self.peek().kind == "op" and self.peek().value == "->":
-            self.next()
-            return Implies(left, self.f_implies(bound))  # right-associative
-        return left
-
-    def f_or(self, bound) -> Formula:
-        left = self.f_and(bound)
-        while self.peek().kind == "op" and self.peek().value == "|":
-            self.next()
-            left = Or(left, self.f_and(bound))
-        return left
-
-    def f_and(self, bound) -> Formula:
-        left = self.f_unary(bound)
-        while self.peek().kind == "op" and self.peek().value == "&":
-            self.next()
-            left = And(left, self.f_unary(bound))
-        return left
-
-    def f_unary(self, bound) -> Formula:
-        t = self.peek()
-        if t.kind == "op" and t.value == "!":
-            self.next()
-            return Not(self.f_unary(bound))
-        if t.kind == "ident" and t.value in ("forall", "exists"):
-            self.next()
-            var = self.expect_ident("variable").value
-            if not self.take_keyword("in"):
-                self.fail("expected 'in'")
-            dom = self.expect_ident("domain")
-            if dom.value not in self.contract.defs.domains:
-                self.fail(f"domain {dom.value!r} is not declared", dom, UndeclaredName)
-            self.expect_op(".")
-            body = self.formula(bound | {var})
-            return (ForAll if t.value == "forall" else Exists)(var, dom.value, body)
-        return self.f_primary(bound)
-
-    def f_primary(self, bound) -> Formula:
-        t = self.peek()
-        if t.kind == "ident" and t.value == "true":
-            self.next()
-            return TRUE
-        if t.kind == "ident" and t.value == "false":
-            self.next()
-            return FALSE
-        if t.kind == "op" and t.value == "(":
-            self.next()
-            inner = self.formula(bound)
-            self.expect_op(")")
-            return inner
-        lhs = self.term(bound)
-        nxt = self.peek()
-        if nxt.kind == "op" and nxt.value in ("=", "!=", "<", "<=", ">", ">="):
-            self.next()
-            rhs = self.term(bound)
-            self._resolve_term(lhs, bound)
-            self._resolve_term(rhs, bound)
-            after = self.peek()
-            if after.kind == "op" and after.value in ("=", "!=", "<", "<=", ">", ">="):
-                self.fail("comparisons do not chain", after)
-            return Cmp(nxt.value, lhs, rhs)
-        return self._term_as_atom(lhs, t, bound)
-
-    def _term_as_atom(self, lhs: Term, tok: _Tok, bound) -> Formula:
-        d = self.contract.defs
-        if isinstance(lhs, FnApp):
-            arity = d.atom_arity(lhs.name)
-            if lhs.name in d.predicates:
-                arity = len(d.predicates[lhs.name].params)
-            elif lhs.name in BUILTIN_PREDICATES:
-                arity = BUILTIN_PREDICATES[lhs.name]
-            if arity is None:
-                if lhs.name in d.functions or lhs.name in BUILTIN_FUNCTIONS:
-                    self.fail(f"function {lhs.name!r} is not a formula", tok)
-                self.fail(f"predicate {lhs.name!r} is not declared", tok, UndeclaredName)
-            if arity != len(lhs.args):
-                self.fail(f"{lhs.name} expects {arity} argument(s)", tok, ArityError)
-            for a in lhs.args:
-                self._resolve_term(a, bound)
-            return Atom(lhs.name, lhs.args)
-        if isinstance(lhs, Constant):
-            name = lhs.value
-            arity = d.atom_arity(name)
-            if name in d.predicates:
-                arity = len(d.predicates[name].params)
-            if arity is None:
-                self.fail(f"predicate {name!r} is not declared", tok, UndeclaredName)
-            if arity != 0:
-                self.fail(f"{name} expects {arity} argument(s)", tok, ArityError)
-            return Atom(name)
-        self.fail("expected a formula", tok)
-
-    # -- terms ------------------------------------------------------------
-
-    def term(self, bound: set[str]) -> Term:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return IntLit(t.value)
-        if t.kind == "op" and t.value == "-":
-            self.next()
-            v = self.expect_int("integer")
-            return IntLit(-v.value)
-        if t.kind == "string":
-            self.next()
-            return Constant(t.value)
-        if t.kind == "op" and t.value == "|":
-            self.next()
-            w = self.expect_ident("wallet")
-            a = self.contract.agent(w.value)
-            if a is None or a.kind != "wallet":
-                self.fail(f"{w.value!r} is not a declared wallet agent", w, UnknownAgent)
-            self.expect_op("|")
-            return BalanceOf(w.value)
-        if t.kind == "ident":
-            self.next()
-            name = t.value
-            if self.peek().kind == "op" and self.peek().value == "(":
-                self.next()
-                args: list[Term] = []
-                while not (self.peek().kind == "op" and self.peek().value == ")"):
-                    args.append(self.term(bound))
-                    if self.peek().kind == "op" and self.peek().value == ",":
-                        self.next()
-                self.expect_op(")")
-                return FnApp(name, tuple(args))
-            if name in bound:
-                return Var(name)
-            a = self.contract.agent(name)
-            if a is not None:
-                return AgentRef(name)
-            return Constant(name)
-        self.fail("expected a term", t)
-
-    def _resolve_term(self, t: Term, bound: set[str]):
-        """Check nested applications really are functions of right arity."""
-        if isinstance(t, FnApp):
-            d = self.contract.defs
-            if t.name in BUILTIN_FUNCTIONS:
-                arity = BUILTIN_FUNCTIONS[t.name]
-            elif t.name in d.functions:
-                arity = d.functions[t.name].arity
-            elif (
-                t.name in d.predicates
-                or d.atom_arity(t.name) is not None
-                or t.name in BUILTIN_PREDICATES
-            ):
-                self.fail(f"predicate {t.name!r} is not a term")
-            else:
-                self.fail(f"function {t.name!r} is not declared", err=UndeclaredName)
-            if arity != len(t.args):
-                self.fail(f"{t.name} expects {arity} argument(s)", err=ArityError)
-            for a in t.args:
-                self._resolve_term(a, bound)
+            self.fail(f"unknown event kind {kind!r}", at, UnknownEventKind)
 
 
 # ---------------------------------------------------------------------------
@@ -937,21 +815,20 @@ class _Parser:
 
 def parse_contract(text: str) -> Contract:
     """Parse declarations and actions; scenario statements are rejected."""
-    return _Parser(text, scenario=False).parse()
+    return _FileParser(text, scenario=False).parse()
 
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     """Parse a full scenario: a contract plus oracle policy and timeline."""
-    return _Parser(text, scenario=True, name=name).parse()
+    return _FileParser(text, scenario=True, name=name).parse()
 
 
 def parse_formula(text: str, context) -> Formula:
     """Parse one formula in the declaration context of a contract/scenario."""
     contract = context.contract if isinstance(context, Scenario) else context
-    p = _Parser(text, scenario=False)
-    p.contract = contract
-    f = p.formula(bound=set())
-    if p.peek().kind != "eof":
+    p = _Parser(text, contract)
+    f = p.formula(set())
+    if p.toks[p.pos] != _EOF:
         p.fail("trailing input after formula")
     return f
 

@@ -123,6 +123,15 @@ def test_run_parse_error_is_reported_with_path(tmp_path, capsys):
     assert "bad.plu" in err
 
 
+def test_run_reports_a_non_ascii_digit_with_its_position(tmp_path, capsys):
+    bad = tmp_path / "bad.plu"
+    bad.write_text("agent A balance \u00b2\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(bad))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == f"plurality: {bad}: line 1, col 17: stray character '\u00b2'\n"
+
+
 def test_run_rejects_unknown_oracle(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "run", str(SCENARIOS / "fair.plu"), "--oracle", "generous"
@@ -294,6 +303,19 @@ def test_check_certificate_rejects_malformed_file(tmp_path, capsys):
     )
     assert code == EXIT_ERROR
     assert "malformed certificate" in err
+
+
+def test_check_certificate_reports_a_non_ascii_digit_in_a_body(tmp_path, capsys):
+    cert = certificate_from_run(tmp_path, capsys, "evidential_discord")
+    doc = json.loads(cert.read_text())
+    doc["candidate"]["body"] = "license(\u00b2)"
+    cert.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "check-certificate", str(cert), str(SCENARIOS / "evidential_discord.plu")
+    )
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == "plurality: malformed certificate: line 1, col 9: stray character '\u00b2'\n"
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,15 @@
 One entry per ``fail`` call site in ``plurality.syntax`` and per lexer
 error.  Inputs are contracts (``parse_contract``), scenarios
 (``parse_scenario``) or single formulas parsed against ``CONTEXT``
-(``parse_formula``).  The two ``ValueError`` entries record a crash:
-a non-ASCII digit reaches ``int()`` unlexed.
+(``parse_formula``).  Positions count every character from the start
+of the text, newlines inside string literals and comments included.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from plurality.syntax import parse_contract, parse_formula, parse_scenario
+from plurality.syntax import ParseError, parse_contract, parse_formula, parse_scenario
 
 BASE = "agent A balance 5\nagent B\noracle O\natom paid(k)\natom flag\n"
 FAIR = "agent F balance 50\nagent W\nissue x = tx F -(50)[true]-> W\n"
@@ -31,13 +31,19 @@ CASES = [
     ('stray-character', 'contract', 'agent A\nagent B $\n',
      'ParseError', "stray character '$'", 2, 9),
     ('stray-after-multiline-string', 'contract', 'agent A\ndomain D = { "x\ny", @ }',
-     'ParseError', "stray character '@'", 2, 21),
+     'ParseError', "stray character '@'", 3, 5),
     ('error-after-multiline-string', 'contract', 'domain D = { "a\nb" }\ndomain D = { 1 }\n',
-     'DuplicateDefinition', "domain 'D' declared twice", 2, 8),
+     'DuplicateDefinition', "domain 'D' declared twice", 3, 8),
     ('non-ascii-digit-in-scenario', 'scenario', 'agent A balance ²\n',
-     'ValueError', "invalid literal for int() with base 10: '²'", None, None),
+     'ParseError', "stray character '²'", 1, 17),
     ('non-ascii-digit-in-formula', 'formula', 'st(²)',
-     'ValueError', "invalid literal for int() with base 10: '²'", None, None),
+     'ParseError', "stray character '²'", 1, 4),
+    ('non-ascii-digit-in-identifier', 'contract', 'agent A²\n',
+     'ParseError', "stray character '²'", 1, 8),
+    ('non-ascii-identifier', 'contract', 'agent é\n',
+     'ParseError', "stray character 'é'", 1, 7),
+    ('non-ascii-in-comment-and-string', 'contract', '# é²\ndomain D = { "é²" }\n×',
+     'ParseError', "stray character '×'", 3, 1),
     # statements and declarations
     ('expected-statement', 'contract', 'agent A\n42\n',
      'ParseError', 'expected a declaration, action or event', 2, 1),
@@ -186,7 +192,7 @@ CASES = [
     ('empty-formula', 'formula', '',
      'ParseError', 'expected a term', 1, 1),
     ('end-after-comment', 'formula', 'st(A) &\n  # nothing follows',
-     'ParseError', 'expected a term', 2, 3),
+     'ParseError', 'expected a term', 2, 20),
 ]
 
 
@@ -194,8 +200,7 @@ CASES = [
     "kind,text,err,msg,line,col", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
 )
 def test_parse_error_is_pinned(kind, text, err, msg, line, col):
-    with pytest.raises(Exception) as info:
+    with pytest.raises(ParseError) as info:
         PARSE[kind](text)
     e = info.value
-    got = (type(e).__name__, getattr(e, "msg", str(e)), getattr(e, "line", None), getattr(e, "col", None))
-    assert got == (err, msg, line, col)
+    assert (type(e).__name__, e.msg, e.line, e.col) == (err, msg, line, col)

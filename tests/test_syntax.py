@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plurality.blocktree import OracleConfig
 from plurality.logic import (
@@ -417,3 +420,45 @@ def test_formula_text_reparses():
     for _ in range(300):
         f = _random_formula(rng, set(), 4)
         assert parse_formula(formula_text(f), ctx) == f
+
+
+# ---------------------------------------------------------------------------
+# property: printed text reparses however it is spaced and commented
+
+# The documented tokens; anything else is a one-character operator.
+_TOKEN_TEXT = re.compile(r'"(?:[^"\\]|\\[\s\S])*"|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|->|<=|>=|!=|:=|\S')
+_SEPARATORS = (" ", "\n", "\t", "\r\n", "\n\n  ", ' # "quoted" #, back\\slash\n', "  #\n")
+_STRINGS = st.lists(
+    st.text(alphabet='ab1 #"\\\n\t.(', max_size=6), min_size=1, max_size=4, unique=True
+)
+
+
+def _respaced(text: str, rnd: random.Random) -> str:
+    """``text`` with a random blank, line break or comment after every token."""
+    return "".join(tok + rnd.choice(_SEPARATORS) for tok in _TOKEN_TEXT.findall(text))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), strings=_STRINGS, rnd=st.randoms(use_true_random=False))
+def test_printed_contracts_reparse_however_spaced(seed, strings, rnd):
+    c = _random_contract(random.Random(seed))
+    c.defs.domains["D3"] = tuple(strings)
+    c.defs.functions["tag"] = FunctionDef(
+        "tag", 1, table={(s,): strings[-1 - i] for i, s in enumerate(strings)}
+    )
+    c.defs.constraints += (Atom("pa", (Constant(strings[0]),)),)
+    printed = pretty_print(c)
+    assert parse_contract(printed) == c
+    assert parse_contract(_respaced(printed, rnd)) == c
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), strings=_STRINGS, rnd=st.randoms(use_true_random=False))
+def test_printed_formulas_reparse_however_spaced(seed, strings, rnd):
+    rng = random.Random(seed)
+    ctx = _random_contract(rng)
+    f = _random_formula(rng, set(), 4)
+    for s in strings:
+        f = And(f, Atom("pa", (Constant(s),)))
+    assert parse_formula(formula_text(f), ctx) == f
+    assert parse_formula(_respaced(formula_text(f), rnd), ctx) == f

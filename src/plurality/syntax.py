@@ -207,12 +207,14 @@ class Scenario:
 # Lexer
 #
 # A token is its source text: an identifier, a decimal integer, a string
-# literal with its quotes and escapes, or an operator.  One match skips
-# blanks and comments and captures the next token.  At the end of the
-# text it captures "", and at a character no token starts with it
-# captures the rest of the text, so a findall yields the tokens, then at
-# most one bad rest, then "".  Positions are worked out from offsets,
-# and only for an error.
+# literal with its quotes and escapes, or an operator.  Outside strings
+# every token is ASCII, so str.isidentifier and str.isdigit tell the
+# identifiers and the integers from the rest.  One match skips blanks
+# and comments and captures the next token.  At the end of the text it
+# captures "", and at a character no token starts with it captures the
+# rest of the text, so a findall yields the tokens, then at most one bad
+# rest, then "".  Positions are worked out from offsets, and only for an
+# error.
 
 _SKIP = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
 _VALID = re.compile(
@@ -222,6 +224,8 @@ _VALID = re.compile(
 _TOKEN = re.compile(rf"{_SKIP}({_VALID.pattern}|\Z|[\s\S]+)")
 _ESCAPE = re.compile(r"\\([\s\S])")
 _EOF = ""  # a string literal's token keeps its quotes, so no token is empty
+
+
 def _line_col(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
@@ -313,7 +317,7 @@ class _Parser:
         a = self.agents.get(aid)
         if a is None or a.kind != "wallet":
             self.fail(f"{aid!r} is not a declared wallet agent", at, UnknownAgent)
-        return aid
+        return a.id  # the declared string itself, so lookups by it hit on identity
 
     # -- formulas ---------------------------------------------------------
 

@@ -136,17 +136,19 @@ class TokenOracle:
 
 @dataclass(frozen=True)
 class Selection:
-    """The selected chain, genesis first."""
+    """The head of the selected chain; ``BlockTree.chain_to`` gives the chain."""
 
-    chain: tuple[str, ...]
-
-    @property
-    def head(self) -> str:
-        return self.chain[-1]
+    head: str
 
 
 class BlockTree:
-    """Append-only tree of payload-carrying blocks with one selected chain."""
+    """Append-only tree of payload-carrying blocks with one selected chain.
+
+    The selected head is the block of greatest height, ties going to the
+    smallest id.  Heights only grow along a branch, so that block is
+    always a leaf, and ``commit`` keeps it and the leaf set up to date:
+    neither ``select`` nor ``leaves`` scans the tree.
+    """
 
     def __init__(self, genesis_payload, oracle: OracleConfig = OracleConfig.frugal(1)):
         gid = block_id(genesis_payload.canonical(), None)
@@ -154,6 +156,9 @@ class BlockTree:
         self._blocks: dict[str, Block] = {gid: self._genesis}
         self._children: dict[str, list[str]] = {gid: []}
         self._append_tick: dict[str, int] = {gid: 0}
+        self._leaves: set[str] = {gid}
+        self._sorted_leaves: tuple[str, ...] | None = (gid,)  # None after a commit
+        self._selection = Selection(gid)
         self.oracle = TokenOracle(oracle)
 
     # -- reading ----------------------------------------------------------
@@ -178,7 +183,10 @@ class BlockTree:
         return tuple(self._children[bid])
 
     def leaves(self) -> tuple[str, ...]:
-        return tuple(sorted(b for b, kids in self._children.items() if not kids))
+        """Ids of the blocks without children, in id order."""
+        if self._sorted_leaves is None:
+            self._sorted_leaves = tuple(sorted(self._leaves))
+        return self._sorted_leaves
 
     def chain_to(self, bid: str) -> tuple[str, ...]:
         out = []
@@ -195,15 +203,7 @@ class BlockTree:
 
     def select(self) -> Selection:
         """Longest chain; ties broken by smallest head id."""
-        best: Block | None = None
-        for leaf in self.leaves():
-            b = self.block(leaf)
-            if best is None or b.height > best.height or (
-                b.height == best.height and b.id < best.id
-            ):
-                best = b
-        assert best is not None
-        return Selection(self.chain_to(best.id))
+        return self._selection
 
     # -- writing ----------------------------------------------------------
 
@@ -242,6 +242,12 @@ class BlockTree:
         self._children[parent.id].append(b.id)
         self._children[b.id] = []
         self._append_tick[b.id] = tick
+        self._leaves.discard(parent.id)
+        self._leaves.add(b.id)
+        self._sorted_leaves = None
+        head = self._blocks[self._selection.head]
+        if b.height > head.height or (b.height == head.height and b.id < head.id):
+            self._selection = Selection(b.id)
         return b
 
     # -- export -----------------------------------------------------------

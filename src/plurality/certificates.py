@@ -23,6 +23,8 @@ sliced the same way.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
+from operator import index
 from typing import NamedTuple
 
 from .logic import (
@@ -96,38 +98,141 @@ def certificate_to_doc(cert: DiscordCertificate) -> dict:
 
 
 def certificate_to_text(cert: DiscordCertificate) -> str:
-    return json.dumps(certificate_to_doc(cert), sort_keys=True, indent=1) + "\n"
+    return json_text(certificate_to_doc(cert))
+
+
+def json_text(doc) -> str:
+    """The canonical text of a JSON document, ending in a newline.
+
+    The text is exactly ``json.dumps(doc, sort_keys=True, indent=1)``
+    plus a newline: object keys in sorted order, each nesting level
+    indented one more space, members separated by ``","`` and a line
+    break, empty containers as ``{}`` and ``[]``, and every non-ASCII or
+    control character of a string written as a ``\\uXXXX`` escape.  Only
+    str, int, bool, None, list and dicts with str keys are allowed;
+    anything else raises TypeError.
+    """
+    return _json(doc, "\n") + "\n"
+
+
+def _json(value, newline: str) -> str:
+    """``value`` rendered, its inner lines starting ``newline`` plus a space.
+
+    Each container is joined from its members' texts, and a string
+    member is quoted in place; json's pure-Python encoder, which
+    ``indent`` selects, yields a chunk per token instead.
+    """
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + " "
+        items = []
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            item = value[key]
+            text = _quote(item) if type(item) is str else _json(item, inner)
+            items.append(_quote(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + " "
+        items = [_quote(v) if type(v) is str else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _get(doc, key: str, kind: type, default=None):
+    """``doc[key]``, which must be of exactly type ``kind``.
+
+    A certificate comes from outside the program, so a missing key or a
+    value of the wrong JSON type is a CertificateError, not a crash in
+    the code that reads it.  ``default`` stands in for a missing key.
+    """
+    if type(doc) is dict:
+        value = doc.get(key, default)
+        if type(value) is kind:
+            return value
+        if value is None:
+            raise CertificateError(f"{key!r} is missing or null")
+        raise CertificateError(f"{key!r} is {type(value).__name__}, not {kind.__name__}")
+    raise CertificateError(f"expected an object holding {key!r}, got {type(doc).__name__}")
+
+
+def _ints(doc, key: str) -> tuple[int, ...]:
+    """The list ``doc[key]`` of integers, as a tuple.
+
+    ``operator.index`` rejects every other JSON type in one pass in C,
+    which keeps the check cheap on proof steps.
+    """
+    try:
+        return tuple(map(index, doc[key]))
+    except (KeyError, TypeError):
+        raise CertificateError(f"{key!r} is not a list of integers") from None
+
+
+def _strs(doc, key: str) -> tuple[str, ...]:
+    """The list ``doc[key]`` of strings, as a tuple."""
+    values = _get(doc, key, list)
+    if any(type(v) is not str for v in values):
+        raise CertificateError(f"{key!r} holds an item that is not str")
+    return tuple(values)
 
 
 def _claim_from_doc(doc: dict, parse) -> Claim:
-    return Claim(doc["authority"], parse(doc["body"]), doc.get("origin", "submitted"))
+    return Claim(
+        _get(doc, "authority", str),
+        parse(_get(doc, "body", str)),
+        _get(doc, "origin", str, "submitted"),
+    )
 
 
 def _step_from_doc(doc: dict) -> ProofStep:
-    clause = tuple(doc["clause"])
-    if doc["rule"] == "input":
-        raw = doc["source"]
+    clause = _ints(doc, "clause")
+    if doc.get("rule") == "input":
+        raw = _get(doc, "source", str)
         if raw == "candidate":
             source: tuple = ("candidate",)
         else:
             kind, _, idx = raw.partition(":")
-            source = (kind, int(idx))
+            try:
+                source = (kind, int(idx))
+            except ValueError:
+                raise CertificateError(f"source {raw!r} has no integer index") from None
         return ProofStep("input", clause, source=source)
-    return ProofStep("resolve", clause, premises=tuple(doc["premises"]))
+    premises = _ints(doc, "premises")
+    if len(premises) != 2:
+        raise CertificateError(f"a resolution step cites {len(premises)} premises, not 2")
+    return ProofStep("resolve", clause, premises=premises)
 
 
 def certificate_from_doc(doc: dict, parse) -> DiscordCertificate:
-    """Rebuild a certificate; ``parse`` maps formula text back to an AST."""
-    if doc.get("format") != CERTIFICATE_FORMAT:
-        raise CertificateError(f"unrecognized certificate format {doc.get('format')!r}")
-    r = doc["refutation"]
-    candidate = _claim_from_doc(doc["candidate"], parse)
+    """Rebuild a certificate; ``parse`` maps formula text back to an AST.
+
+    A missing field or one of the wrong JSON type raises
+    CertificateError; ``parse`` raises its own errors on formula text.
+    """
+    fmt = _get(doc, "format", str, "")
+    if fmt != CERTIFICATE_FORMAT:
+        raise CertificateError(f"unrecognized certificate format {fmt!r}")
+    r = _get(doc, "refutation", dict)
+    candidate = _claim_from_doc(_get(doc, "candidate", dict), parse)
     refutation = Refutation(
-        conclusion=parse(r["conclusion"]),
-        used_claims=tuple(_claim_from_doc(c, parse) for c in doc["conflict"]),
-        used_constraints=tuple(parse(g) for g in r["used_constraints"]),
-        atoms=tuple(r["atoms"]),
-        steps=tuple(_step_from_doc(s) for s in r["steps"]),
+        conclusion=parse(_get(r, "conclusion", str)),
+        used_claims=tuple(_claim_from_doc(c, parse) for c in _get(doc, "conflict", list)),
+        used_constraints=tuple(parse(g) for g in _strs(r, "used_constraints")),
+        atoms=_strs(r, "atoms"),
+        steps=tuple(_step_from_doc(s) for s in _get(r, "steps", list)),
     )
     return DiscordCertificate(
         candidate=candidate,

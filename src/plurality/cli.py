@@ -65,6 +65,47 @@ def _load_scenario(path_text: str):
         raise ValueError(f"{path}: {e}") from None
 
 
+# The fields of a trace that ``explain`` and ``inspect-tree`` read: a
+# dict gives required keys, a one-item list a list of that shape.
+_TRACE_SHAPE = {
+    "records": [{"name": str, "kind": str, "stage": str, "history": list}],
+    "events": [{"kind": str}],
+    "chains": [{"head": str, "length": int, "clock": int, "selected": bool, "balances": dict}],
+    "tree": [str],
+}
+_DISCORD_SHAPE = {
+    "name": str,
+    "certificate": int,
+    "candidate": str,
+    "conflict": list,
+    "origins": list,
+    "authorities": [str],
+}
+
+
+def _shape_error(value, shape, where: str) -> str | None:
+    """Where ``value`` first departs from ``shape``, or None if it fits."""
+    if isinstance(shape, dict):
+        if type(value) is not dict:
+            return f"{where} is not an object"
+        for key, sub in shape.items():
+            if key not in value:
+                return f"{where} has no {key!r}"
+            err = _shape_error(value[key], sub, f"{where}.{key}")
+            if err:
+                return err
+    elif isinstance(shape, list):
+        if type(value) is not list:
+            return f"{where} is not a list"
+        for i, item in enumerate(value):
+            err = _shape_error(item, shape[0], f"{where}[{i}]")
+            if err:
+                return err
+    elif type(value) is not shape:
+        return f"{where} is {type(value).__name__}, not {shape.__name__}"
+    return None
+
+
 def _load_trace(path_text: str) -> dict:
     path = Path(path_text)
     try:
@@ -73,6 +114,15 @@ def _load_trace(path_text: str) -> dict:
         raise ValueError(f"cannot read trace: {e}") from None
     if not isinstance(doc, dict) or doc.get("format") != TRACE_FORMAT:
         raise ValueError(f"{path} is not a {TRACE_FORMAT} document")
+    err = _shape_error(doc, _TRACE_SHAPE, "trace")
+    if err is None:
+        for i, e in enumerate(doc["events"]):
+            if e["kind"] == "discord":
+                err = _shape_error(e, _DISCORD_SHAPE, f"trace.events[{i}]")
+                if err:
+                    break
+    if err:
+        raise ValueError(f"{path}: malformed trace: {err}")
     return doc
 
 
@@ -177,7 +227,7 @@ def cmd_check_certificate(args) -> int:
         return _err(f"cannot read certificate: {e}")
     try:
         cert = certificate_from_text(text, lambda s: parse_formula(s, scenario))
-    except (json.JSONDecodeError, KeyError, CertificateError, ParseError) as e:
+    except (json.JSONDecodeError, CertificateError, ParseError) as e:
         return _err(f"malformed certificate: {e}")
 
     defs = scenario.contract.defs

@@ -24,13 +24,12 @@ additionally captures the minimized certificate.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .blocktree import BlockTree, FrugalLimitReached, RetryExhausted
-from .certificates import claim_to_doc
+from .certificates import claim_to_doc, json_text
 from .logic import DiscordCertificate, claim_text
 from .syntax import ClaimEvent, Scenario, SubmitEvent
 from .validator import (
@@ -40,6 +39,7 @@ from .validator import (
     Validator,
     chain_claims_consistent,
     compute_state,
+    fold_block,
 )
 
 TRACE_FORMAT = "plurality-trace/1"
@@ -102,9 +102,10 @@ class Engine:
 
     With ``consistency_checks`` every commit checks that no branch's
     claim store has become refutable, and raises ConsistencyError if one
-    has.  Each new block's store is checked once, when it is appended
-    (verdicts are kept per block id); a leaf attached to the tree by
-    other means is checked at the next commit.
+    has.  Each new block is checked once, when it is appended (verdicts
+    are kept per block id), by what it adds to its parent's checked
+    store; a leaf attached to the tree by other means is checked at the
+    next commit (see ``chain_claims_consistent``).
     """
 
     def __init__(
@@ -311,21 +312,36 @@ class Engine:
     # -- trace export ------------------------------------------------------
 
     def trace(self) -> dict:
-        sel = self.tree.select()
-        chains = []
-        for leaf in self.tree.leaves():
-            st = compute_state(self.tree, leaf, self.scenario.facts)
-            chains.append(
-                {
-                    "head": leaf,
-                    "length": len(self.tree.chain_to(leaf)),
-                    "selected": leaf == sel.head,
-                    "balances": dict(st.balances),
-                    "clock": st.clock,
-                    "published": list(st.published),
-                    "claims": [claim_to_doc(c) for c in st.claims],
+        tree = self.tree
+        head = tree.select().head
+        chains: dict[str, dict] = {}
+        asserted: set = set()  # no chain document shows it, so all branches share one
+        # Blocks still to fold, each with its parent chain's balances,
+        # published names and claim documents.  A block's first child
+        # takes that fold over and the others get copies, so each claim
+        # is rendered once, when its block is folded.
+        todo = [(tree.genesis.id, {}, [], [])]
+        while todo:
+            bid, balances, published, docs = todo.pop()
+            block = tree.block(bid)
+            added: list = []
+            fold_block(block, balances, published, added, asserted)
+            docs += [claim_to_doc(c) for c in added]
+            kids = tree.children(bid)
+            if not kids:
+                chains[bid] = {
+                    "head": bid,
+                    "length": block.height + 1,
+                    "selected": bid == head,
+                    "balances": balances,
+                    "clock": tree.append_tick(bid),
+                    "published": published,
+                    "claims": docs,
                 }
-            )
+                continue
+            for kid in kids[1:]:
+                todo.append((kid, dict(balances), list(published), list(docs)))
+            todo.append((kids[0], balances, published, docs))
         records = []
         for r in sorted(self.records.values(), key=lambda r: r.name):
             doc: dict = {
@@ -351,14 +367,14 @@ class Engine:
             ],
             "records": records,
             "certificates": len(self.certificates),
-            "chains": chains,
-            "tree": self.tree.snapshot().splitlines(),
+            "chains": [chains[leaf] for leaf in tree.leaves()],
+            "tree": tree.snapshot().splitlines(),
         }
 
 
 def trace_text(doc: dict) -> str:
     """Canonical byte-stable rendering of a trace document."""
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    return json_text(doc)
 
 
 def trace_human(doc: dict) -> str:

@@ -38,6 +38,7 @@ from .logic import (
     Model,
     NotInConflict,
     Value,
+    _formula_clauses,
     claim_text,
     evaluate,
     formula_text,
@@ -159,6 +160,32 @@ class ChainState:
         return frozenset(self.published)
 
 
+def fold_block(block, balances: dict, published: list, claims: list, asserted: set) -> None:
+    """Add one block's effects to the running fold of the chain it ends.
+
+    ``compute_state`` folds one chain with it, block by block from
+    genesis; ``Engine.trace`` folds the whole tree in one walk.  Each
+    claim a block adds carries the block's id as its origin.
+    """
+    p = block.payload
+    if isinstance(p, GenesisPayload):
+        balances.update(dict(p.balances))
+    elif isinstance(p, TransactionPayload):
+        tx = p.action.transaction
+        balances[tx.source] = balances.get(tx.source, 0) - tx.amount
+        balances[tx.sink] = balances.get(tx.sink, 0) + tx.amount
+        published.append(p.action.binding)
+        asserted.add(("updates", (tx.source, tx.amount, tx.sink)))
+        asserted.add(("published", (p.action.binding,)))
+        claims.extend(p.claims(block.id))
+    elif isinstance(p, ClaimPayload):
+        published.append(p.label)
+        asserted.add(("published", (p.label,)))
+        claims.append(replace(p.claim, origin=block.id))
+    else:
+        raise ValidatorError(f"unrecognized payload kind {type(p).__name__}")
+
+
 def compute_state(tree, head_id: str, facts=()) -> ChainState:
     """Fold the chain ending at ``head_id`` into a ChainState."""
     balances: dict[str, int] = {}
@@ -168,24 +195,7 @@ def compute_state(tree, head_id: str, facts=()) -> ChainState:
         (name, tuple(args)) for name, args in facts
     }
     for bid in tree.chain_to(head_id):
-        block = tree.block(bid)
-        p = block.payload
-        if isinstance(p, GenesisPayload):
-            balances.update(dict(p.balances))
-        elif isinstance(p, TransactionPayload):
-            tx = p.action.transaction
-            balances[tx.source] = balances.get(tx.source, 0) - tx.amount
-            balances[tx.sink] = balances.get(tx.sink, 0) + tx.amount
-            published.append(p.action.binding)
-            asserted.add(("updates", (tx.source, tx.amount, tx.sink)))
-            asserted.add(("published", (p.action.binding,)))
-            claims.extend(p.claims(block.id))
-        elif isinstance(p, ClaimPayload):
-            published.append(p.label)
-            asserted.add(("published", (p.label,)))
-            claims.append(replace(p.claim, origin=block.id))
-        else:
-            raise ValidatorError(f"unrecognized payload kind {type(p).__name__}")
+        fold_block(tree.block(bid), balances, published, claims, asserted)
     return ChainState(
         balances=MappingProxyType(balances),
         published=tuple(published),
@@ -260,6 +270,16 @@ def chain_claims_consistent(tree, scenario: Scenario, verified: set[str] | None 
     does) checks each new block's store once, when it is appended.  The
     verdict also depends on the scenario's constraints, which the id
     does not cover, so a set must not be shared between scenarios.
+
+    A leaf whose parent is in ``verified`` is checked by what it adds:
+    ``store_consistent`` gets the leaf's own claims, the stored claims
+    connected to them through shared ground atoms (directly or through
+    constraint clauses), and the constraints, whole.  This is exact.
+    Split the store and the constraint clauses into components that
+    share no atom: a component without a new claim is part of the
+    parent's store plus the constraints, which is known to be
+    consistent, so the store is consistent iff the new claims' component
+    is.  Any other leaf's whole store is checked.
     """
     d = scenario.contract.defs
     if verified is None:
@@ -267,11 +287,45 @@ def chain_claims_consistent(tree, scenario: Scenario, verified: set[str] | None 
     for leaf in tree.leaves():
         if leaf in verified:
             continue
-        st = compute_state(tree, leaf, scenario.facts)
-        if not store_consistent(st.claims, d.constraints, d):
+        claims = compute_state(tree, leaf, scenario.facts).claims
+        if tree.block(leaf).parent in verified:
+            claims = _connected_claims(claims, leaf, d)
+        if not store_consistent(claims, d.constraints, d):
             return False
         verified.add(leaf)
     return True
+
+
+# refute's default clause budget, so that the clause cache is shared with it
+_MAX_CLAUSES = 100_000
+
+
+def _connected_claims(claims, leaf: str, defs) -> list[Claim]:
+    """The claims block ``leaf`` added and those connected to them.
+
+    A stored claim is connected when it shares a ground atom with a new
+    claim, directly or through a chain of claims and constraint clauses.
+    The claims keep their store order.
+    """
+    groups = [_formula_clauses(c.body, defs, _MAX_CLAUSES)[0] for c in claims]
+    for g in defs.constraints:
+        names, clauses = _formula_clauses(g, defs, _MAX_CLAUSES)
+        groups += [[names[abs(lit) - 1] for lit in cl] for cl in clauses]
+    owners: dict[str, list[int]] = {}
+    for i, atoms in enumerate(groups):
+        for a in atoms:
+            owners.setdefault(a, []).append(i)
+    taken = {i for i, c in enumerate(claims) if c.origin == leaf}
+    todo = [a for i in taken for a in groups[i]]
+    reached = set(todo)
+    while todo:
+        for i in owners[todo.pop()]:
+            if i not in taken:
+                taken.add(i)
+                fresh = [a for a in groups[i] if a not in reached]
+                reached.update(fresh)
+                todo += fresh
+    return [c for i, c in enumerate(claims) if i in taken]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import random
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plurality.blocktree import (
     AlreadyConsumed,
@@ -50,14 +52,14 @@ def put(bt: BlockTree, payload, validator=ok, *, tick: int = 0):
 
 
 def selected_tags(bt: BlockTree) -> list[str]:
-    return [bt.block(b).payload.tag for b in bt.select().chain]
+    return [bt.block(b).payload.tag for b in bt.chain_to(bt.select().head)]
 
 
 def test_genesis_only_selection():
     bt = fresh()
     sel = bt.select()
-    assert sel.chain == (bt.genesis.id,)
     assert sel.head == bt.genesis.id
+    assert bt.chain_to(sel.head) == (bt.genesis.id,)
     assert len(bt) == 1
 
 
@@ -165,7 +167,7 @@ def test_equal_height_fork_selects_smallest_head_id():
     t3 = bt.oracle.grant(loser.id, block_id("note c", loser.id))
     c = bt.commit(t3, Note("c"))
     assert bt.select().head == c.id
-    assert bt.select().chain == (bt.genesis.id, loser.id, c.id)
+    assert bt.chain_to(bt.select().head) == (bt.genesis.id, loser.id, c.id)
 
 
 def test_frugal_k_bounds_children():
@@ -200,6 +202,36 @@ def test_snapshot_is_sorted_and_stable():
     assert s1 == s2
     ids = [line.split()[0] for line in s1.strip().splitlines()]
     assert ids == sorted(ids)
+
+
+def scanned_head_and_leaves(bt: BlockTree, ids) -> tuple[str, tuple[str, ...]]:
+    """Selection by a scan of every block: the longest chain's leaf, ties
+    to the smallest id, and the leaves in id order."""
+    leaves = tuple(sorted(b for b in ids if not bt.children(b)))
+    best = None
+    for leaf in leaves:
+        b = bt.block(leaf)
+        if best is None or b.height > best.height or (
+            b.height == best.height and b.id < best.id
+        ):
+            best = b
+    return best.id, leaves
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 10**6), max_size=40))
+def test_head_and_leaves_of_random_prodigal_trees_match_a_scan(parents):
+    bt = fresh(OracleConfig.prodigal())
+    ids = [bt.genesis.id]
+    assert (bt.select().head, bt.leaves()) == scanned_head_and_leaves(bt, ids)
+    for n, pick in enumerate(parents):
+        parent = ids[pick % len(ids)]
+        token = bt.oracle.grant(parent, block_id(f"note n{n}", parent))
+        ids.append(bt.commit(token, Note(f"n{n}")).id)
+        if pick % 3:  # some commits follow one another unread
+            assert (bt.select().head, bt.leaves()) == scanned_head_and_leaves(bt, ids)
+    assert (bt.select().head, bt.leaves()) == scanned_head_and_leaves(bt, ids)
+    assert bt.leaves() is bt.leaves()
 
 
 def test_oracle_config_parsing():

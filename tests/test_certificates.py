@@ -22,6 +22,7 @@ from plurality.certificates import (
     certificate_to_text,
     check_certificate,
     check_minimality,
+    json_text,
     replay_refutation,
 )
 from plurality.logic import (
@@ -91,6 +92,34 @@ def test_serialized_form_is_canonical():
     assert doc["candidate"]["body"] == "(rank(C, B) = 1)"
     # keys are emitted sorted, so the dump round-trips byte-identically
     assert json.dumps(doc, sort_keys=True, indent=1) + "\n" == certificate_to_text(cert)
+
+
+# Strings mix arbitrary code points, lone surrogates included, with the
+# characters JSON escapes specially.
+JSON_TEXT = st.text(
+    st.characters(blacklist_categories=())
+    | st.sampled_from('"\\/\x00\x1f\x7f\b\f\n\r\t\u2028\ud800\udfff\u00e9\U0001f600'),
+    max_size=12,
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES)
+def test_json_text_is_json_dumps_with_sorted_keys_and_indent_1(value):
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=1) + "\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(JSON_VALUES, st.sampled_from([0.5, float("nan"), {1, 2}, (1,), {1: "x"}, {None: 0}]))
+def test_json_text_rejects_other_types_wherever_they_sit(value, bad):
+    for doc in (bad, [value, bad], {"k": value, "z": [bad]}, [{"a": value, "b": bad}]):
+        with pytest.raises(TypeError):
+            json_text(doc)
 
 
 def test_replay_accepts_engine_output():

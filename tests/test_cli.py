@@ -318,6 +318,66 @@ def test_check_certificate_reports_a_non_ascii_digit_in_a_body(tmp_path, capsys)
     assert err == "plurality: malformed certificate: line 1, col 9: stray character '\u00b2'\n"
 
 
+def break_body(doc):
+    doc["candidate"]["body"] = 5
+
+
+def break_clause(doc):
+    doc["refutation"]["steps"][0]["clause"] = ["1"]
+
+
+def break_source(doc):
+    step = next(s for s in doc["refutation"]["steps"] if s.get("source", "").startswith("claim"))
+    step["source"] = "claim:zz"
+
+
+def assert_one_error_line(code, out, err):
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("plurality: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tamper", [break_body, break_clause, break_source])
+def test_check_certificate_reports_a_field_of_the_wrong_type(tmp_path, capsys, tamper):
+    cert = certificate_from_run(tmp_path, capsys, "evidential_discord")
+    doc = json.loads(cert.read_text())
+    tamper(doc)
+    cert.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "check-certificate", str(cert), str(SCENARIOS / "evidential_discord.plu")
+    )
+    assert_one_error_line(code, out, err)
+    assert "malformed certificate" in err
+
+
+def break_records(doc):
+    doc["records"] = 5
+
+
+def break_history(doc):
+    doc["records"][0]["history"] = None
+
+
+def break_chains(doc):
+    doc["chains"] = None
+
+
+@pytest.mark.parametrize(
+    "tamper,command",
+    [(break_records, "explain"), (break_history, "explain"), (break_chains, "inspect-tree")],
+)
+def test_trace_commands_report_a_field_of_the_wrong_type(tmp_path, capsys, tamper, command):
+    _, _, trace = run_scenario(tmp_path, capsys, "evidential_discord")
+    doc = json.loads(trace.read_text())
+    tamper(doc)
+    trace.write_text(json.dumps(doc))
+    argv = [command, str(trace), "x"] if command == "explain" else [command, str(trace)]
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert "malformed trace" in err
+
+
 # ---------------------------------------------------------------------------
 # inspect-tree
 

@@ -321,26 +321,44 @@ agent W balance 50
 agent A
 oracle Om
 atom p
+atom q
+constraint !(p & q)
 issue x = tx W -(10)[true]-> A
 issue y = tx W -(10)[true]-> A
 at 0 claim yes = Om: p
 """
 
 
-@pytest.mark.parametrize("under", ["head", "verified inner block"])
-def test_planted_discord_fails_the_next_commit(under):
+@pytest.mark.parametrize(
+    "under,body,refuted",
+    [
+        pytest.param("head", "!p", True, id="head"),
+        pytest.param("verified inner block", "!p", True, id="verified inner block"),
+        pytest.param("block below the claim", "!p", True, id="block below the claim"),
+        pytest.param("head", "q", True, id="through the constraint"),
+        pytest.param("block below the claim", "q", True, id="below, through the constraint"),
+        pytest.param("verified inner block", "!q", False, id="consistent"),
+        pytest.param("block below the claim", "!q", False, id="below, consistent"),
+    ],
+)
+def test_planted_discord_fails_the_next_commit(under, body, refuted):
     s = parse_scenario(CONTRADICTED, name="planted")
     eng = Engine(s, oracle=OracleConfig.prodigal(), consistency_checks=True)
     assert eng.attempt("yes")
     parent = eng.records["yes"].block
-    if under == "verified inner block":
+    if under != "head":
         assert eng.attempt("x")
+    if under == "block below the claim":
+        parent = eng.records["x"].block
     pending = eng.validate_action("y")
-    # attach a contradicting claim under ``parent`` without validating it
-    no = ClaimPayload("no", Claim("Om", parse_formula("!p", s)))
+    # attach a claim under the verified ``parent`` without validating it
+    no = ClaimPayload("no", Claim("Om", parse_formula(body, s)))
     eng.tree.commit(eng.tree.oracle.grant(parent, block_id(no.canonical(), parent)), no)
-    with pytest.raises(ConsistencyError):
-        eng.commit_action(pending)
+    if refuted:
+        with pytest.raises(ConsistencyError):
+            eng.commit_action(pending)
+    else:
+        assert eng.commit_action(pending) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +387,7 @@ def test_split_phase_race_loser_revalidates():
     assert eng.attempt("b")
     assert eng.records["b"].stage == PUBLISHED
     assert len(eng.tree) == 3
-    chain = eng.tree.select().chain
+    chain = eng.tree.chain_to(eng.tree.select().head)
     assert [eng.tree.block(b).payload.describe() for b in chain][1:] == [
         "tx a: W -(10)-> A",
         "tx b: W -(10)-> B",

@@ -16,6 +16,8 @@ from plurality.logic import (
     store_consistent,
 )
 from plurality.syntax import parse_formula, parse_scenario
+from plurality.certificates import claim_to_doc
+from plurality.runtime import Engine
 from plurality.validator import (
     ChainState,
     ClaimPayload,
@@ -135,7 +137,7 @@ def test_compute_state_collects_claims_in_block_order():
     bt = seeded_tree(s, lic, x)
     st = compute_state(bt, bt.select().head)
     assert [c.authority for c in st.claims] == ["W", "Omega_X", "W"]
-    chain = bt.select().chain
+    chain = bt.chain_to(bt.select().head)
     # claim origins are the block ids that introduced them
     assert st.claims[0].origin == chain[1]
     assert st.claims[1].origin == chain[1]
@@ -239,7 +241,8 @@ def test_states_of_random_prodigal_trees_match_a_fold_from_genesis(data):
     s = bank()
     payloads = bank_payloads(s)
     facts = data.draw(st.sampled_from(((), (("license", ("B",)),))))
-    bt = BlockTree(GenesisPayload.for_contract(s.contract), OracleConfig.prodigal())
+    engine = Engine(s, oracle=OracleConfig.prodigal())
+    bt = engine.tree
     ids = [bt.genesis.id]
     steps = st.tuples(
         st.integers(0, 10**6), st.sampled_from(range(len(payloads))), st.integers(0, 9)
@@ -250,6 +253,22 @@ def test_states_of_random_prodigal_trees_match_a_fold_from_genesis(data):
             ids.append(attach(bt, parent, payloads[which], tick))
     for bid in ids:
         assert state_fields(compute_state(bt, bid, facts)) == fold_from_genesis(bt, bid, facts)
+    # the trace folds the whole tree in one walk; each leaf's chain document
+    # is the one its own compute_state gives
+    chains = engine.trace()["chains"]
+    assert [c["head"] for c in chains] == list(bt.leaves())
+    for doc in chains:
+        leaf = doc["head"]
+        state = compute_state(bt, leaf)
+        assert doc == {
+            "head": leaf,
+            "length": len(bt.chain_to(leaf)),
+            "selected": leaf == bt.select().head,
+            "balances": dict(state.balances),
+            "clock": state.clock,
+            "published": list(state.published),
+            "claims": [claim_to_doc(c) for c in state.claims],
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +483,52 @@ def test_chain_local_stores_keep_forks_independent():
     )
     d = s.contract.defs
     assert not store_consistent(union, d.constraints, d)
+
+
+LINKED = """
+oracle Om
+atom p
+atom q
+atom r
+atom s
+atom t
+constraint !(q & r)
+"""
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_checking_what_a_leaf_adds_agrees_with_a_full_store_check(data):
+    # claims attached anywhere, unvalidated, so stores of every kind occur;
+    # some contradictions need a chain of claims or the constraint
+    s = parse_scenario(LINKED, name="linked")
+    d = s.contract.defs
+    texts = ("p", "!p", "q", "r", "s", "!s | q", "p | r", "t", "!t & s", "true")
+    payloads = [
+        ClaimPayload(f"c{i}", Claim("Om", parse_formula(text, s)))
+        for i, text in enumerate(texts)
+    ]
+    bt = BlockTree(GenesisPayload.for_contract(s.contract), OracleConfig.prodigal())
+    ids = [bt.genesis.id]
+    steps = st.tuples(st.integers(0, 10**6), st.sampled_from(range(len(payloads))))
+    for parent, which in data.draw(st.lists(steps, min_size=1, max_size=25)):
+        parent = ids[parent % len(ids)]
+        if block_id(payloads[which].canonical(), parent) not in bt:
+            ids.append(attach(bt, parent, payloads[which], 0))
+
+    def full(bid):
+        return store_consistent(compute_state(bt, bid).claims, d.constraints, d)
+
+    for leaf in ids[1:]:
+        # the chain to ``leaf`` alone, with its parent verified when it is
+        # consistent, so that only ``leaf`` is checked, and by what it adds
+        chain = BlockTree(GenesisPayload.for_contract(s.contract), OracleConfig.prodigal())
+        for bid in bt.chain_to(leaf)[1:]:
+            attach(chain, bt.block(bid).parent, bt.block(bid).payload, 0)
+        parent = bt.block(leaf).parent
+        verified = {parent} if full(parent) else set()
+        assert chain_claims_consistent(chain, s, verified) == full(leaf)
+        assert (leaf in verified) == full(leaf)
 
 
 def test_chain_claims_consistent_flags_forced_discord():

@@ -105,11 +105,9 @@ def json_text(doc) -> str:
     """The canonical text of a JSON document, ending in a newline.
 
     The text is exactly ``json.dumps(doc, sort_keys=True, indent=1)``
-    plus a newline: object keys in sorted order, each nesting level
-    indented one more space, members separated by ``","`` and a line
-    break, empty containers as ``{}`` and ``[]``, and every non-ASCII or
-    control character of a string written as a ``\\uXXXX`` escape.  Only
-    str, int, bool, None, list and dicts with str keys are allowed;
+    plus a newline: sorted keys, one more space of indent per level,
+    ASCII only with ``\\uXXXX`` escapes (docs/format.md gives the rules).
+    Only str, int, bool, None, list and dicts with str keys are allowed;
     anything else raises TypeError.
     """
     return _json(doc, "\n") + "\n"
@@ -199,7 +197,8 @@ def _claim_from_doc(doc: dict, parse) -> Claim:
 
 def _step_from_doc(doc: dict) -> ProofStep:
     clause = _ints(doc, "clause")
-    if doc.get("rule") == "input":
+    rule = _get(doc, "rule", str)
+    if rule == "input":
         raw = _get(doc, "source", str)
         if raw == "candidate":
             source: tuple = ("candidate",)
@@ -213,7 +212,7 @@ def _step_from_doc(doc: dict) -> ProofStep:
     premises = _ints(doc, "premises")
     if len(premises) != 2:
         raise CertificateError(f"a resolution step cites {len(premises)} premises, not 2")
-    return ProofStep("resolve", clause, premises=premises)
+    return ProofStep(rule, clause, premises=premises)  # replay rejects a rule it does not know
 
 
 def certificate_from_doc(doc: dict, parse) -> DiscordCertificate:

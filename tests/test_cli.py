@@ -318,6 +318,19 @@ def test_check_certificate_reports_a_non_ascii_digit_in_a_body(tmp_path, capsys)
     assert err == "plurality: malformed certificate: line 1, col 9: stray character '\u00b2'\n"
 
 
+def test_check_certificate_rejects_an_unknown_rule(tmp_path, capsys):
+    cert = certificate_from_run(tmp_path, capsys, "evidential_discord")
+    doc = json.loads(cert.read_text())
+    step = next(s for s in doc["refutation"]["steps"] if s["rule"] == "resolve")
+    step["rule"] = "frobnicate"
+    cert.write_text(json.dumps(doc))
+    code, out, _ = run_cli(
+        capsys, "check-certificate", str(cert), str(SCENARIOS / "evidential_discord.plu")
+    )
+    assert code == EXIT_DISCORD
+    assert out.startswith("replay failed:") and "unknown rule 'frobnicate'" in out
+
+
 def break_body(doc):
     doc["candidate"]["body"] = 5
 

@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plurality.blocktree import BlockTree, OracleConfig, block_id
+from plurality.certificates import claim_to_doc
 from plurality.logic import (
     Claim,
     formula_text,
     refute,
     store_consistent,
 )
-from plurality.syntax import parse_formula, parse_scenario
-from plurality.certificates import claim_to_doc
 from plurality.runtime import Engine
+from plurality.syntax import parse_formula, parse_scenario
 from plurality.validator import (
     ChainState,
     ClaimPayload,

@@ -57,7 +57,7 @@ def _load_scenario(path_text: str):
     path = Path(path_text)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ValueError(f"cannot read scenario: {e}") from None
     try:
         return parse_scenario(text, name=path.stem)
@@ -110,7 +110,7 @@ def _load_trace(path_text: str) -> dict:
     path = Path(path_text)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ValueError(f"cannot read trace: {e}") from None
     if not isinstance(doc, dict) or doc.get("format") != TRACE_FORMAT:
         raise ValueError(f"{path} is not a {TRACE_FORMAT} document")
@@ -170,7 +170,10 @@ def cmd_run(args) -> int:
     cert_paths = []
     for i, cert in enumerate(engine.certificates):
         cp = trace_path.with_name(f"{stem}.cert-{i}.json")
-        cp.write_text(certificate_to_text(cert), encoding="utf-8")
+        try:
+            cp.write_text(certificate_to_text(cert), encoding="utf-8")
+        except OSError as e:
+            return _err(f"cannot write certificate: {e}")
         cert_paths.append(cp)
 
     if args.format == "structured":
@@ -223,7 +226,7 @@ def cmd_check_certificate(args) -> int:
         return _err(str(e))
     try:
         text = Path(args.certificate).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         return _err(f"cannot read certificate: {e}")
     try:
         cert = certificate_from_text(text, lambda s: parse_formula(s, scenario))

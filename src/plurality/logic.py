@@ -278,10 +278,12 @@ class DefinitionSet:
     keys in first-occurrence order and its non-tautological clauses over
     local 1-based atom ids.  The certificate auditor keeps in
     ``_audit_cache`` what it derives from the constraints alone: their
-    atom table, compiled formulas and indexed conjunctions.  Neither
-    cache is ever invalidated, so both rely on one rule: the parser is
-    the only code that mutates a DefinitionSet, and it finishes before
-    the first ``refute`` or certificate check.
+    atom table, compiled formulas and indexed conjunctions.  Consistency
+    checks keep the claims each block id adds with their atom keys
+    (``_block_claims``) and each constraint clause's atom keys
+    (``_constraint_atoms``).  No cache is ever invalidated, so all rely on
+    one rule: the parser is the only code that mutates a DefinitionSet,
+    and it finishes before the first ``refute`` or certificate check.
     """
 
     domains: dict[str, tuple[Value, ...]] = field(default_factory=dict)
@@ -293,6 +295,8 @@ class DefinitionSet:
         default_factory=dict, init=False, repr=False, compare=False
     )
     _audit_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _block_claims: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _constraint_atoms: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def domain_members(self, name: str) -> tuple[Value, ...]:
         try:

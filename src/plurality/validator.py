@@ -279,7 +279,9 @@ def chain_claims_consistent(tree, scenario: Scenario, verified: set[str] | None 
     share no atom: a component without a new claim is part of the
     parent's store plus the constraints, which is known to be
     consistent, so the store is consistent iff the new claims' component
-    is.  Any other leaf's whole store is checked.
+    is.  It folds no chain: each block's claims and their atom keys are
+    kept per block id on the definitions.  Any other leaf's whole store
+    is folded and checked.
     """
     d = scenario.contract.defs
     if verified is None:
@@ -287,9 +289,10 @@ def chain_claims_consistent(tree, scenario: Scenario, verified: set[str] | None 
     for leaf in tree.leaves():
         if leaf in verified:
             continue
-        claims = compute_state(tree, leaf, scenario.facts).claims
         if tree.block(leaf).parent in verified:
-            claims = _connected_claims(claims, leaf, d)
+            claims = _component_of_new_claims(tree, leaf, d)
+        else:
+            claims = compute_state(tree, leaf, scenario.facts).claims
         if not store_consistent(claims, d.constraints, d):
             return False
         verified.add(leaf)
@@ -300,22 +303,36 @@ def chain_claims_consistent(tree, scenario: Scenario, verified: set[str] | None 
 _MAX_CLAUSES = 100_000
 
 
-def _connected_claims(claims, leaf: str, defs) -> list[Claim]:
-    """The claims block ``leaf`` added and those connected to them.
+def _block_claims(block, defs) -> tuple[tuple[Claim, list[str]], ...]:
+    """The claims ``block`` adds, each with its ground atom keys."""
+    got = defs._block_claims.get(block.id)
+    if got is None:
+        claims: list[Claim] = []
+        fold_block(block, {}, [], claims, set())
+        got = tuple((c, _formula_clauses(c.body, defs, _MAX_CLAUSES)[0]) for c in claims)
+        defs._block_claims[block.id] = got
+    return got
+
+
+def _component_of_new_claims(tree, leaf: str, defs) -> list[Claim]:
+    """The claims block ``leaf`` adds and the stored claims connected to them.
 
     A stored claim is connected when it shares a ground atom with a new
     claim, directly or through a chain of claims and constraint clauses.
     The claims keep their store order.
     """
-    groups = [_formula_clauses(c.body, defs, _MAX_CLAUSES)[0] for c in claims]
-    for g in defs.constraints:
-        names, clauses = _formula_clauses(g, defs, _MAX_CLAUSES)
-        groups += [[names[abs(lit) - 1] for lit in cl] for cl in clauses]
+    records = [r for bid in tree.chain_to(leaf) for r in _block_claims(tree.block(bid), defs)]
+    if defs._constraint_atoms is None:  # set only once every constraint has its clauses
+        compiled = [_formula_clauses(g, defs, _MAX_CLAUSES) for g in defs.constraints]
+        defs._constraint_atoms = [
+            [names[abs(lit) - 1] for lit in cl] for names, clauses in compiled for cl in clauses
+        ]
+    groups = [atoms for _, atoms in records] + defs._constraint_atoms
     owners: dict[str, list[int]] = {}
     for i, atoms in enumerate(groups):
         for a in atoms:
             owners.setdefault(a, []).append(i)
-    taken = {i for i, c in enumerate(claims) if c.origin == leaf}
+    taken = {i for i, (c, _) in enumerate(records) if c.origin == leaf}
     todo = [a for i in taken for a in groups[i]]
     reached = set(todo)
     while todo:
@@ -325,7 +342,7 @@ def _connected_claims(claims, leaf: str, defs) -> list[Claim]:
                 fresh = [a for a in groups[i] if a not in reached]
                 reached.update(fresh)
                 todo += fresh
-    return [c for i, c in enumerate(claims) if i in taken]
+    return [c for i, (c, _) in enumerate(records) if i in taken]
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +370,13 @@ class Validator:
 
     The tree hands this object a payload and the block it would extend;
     the validator folds that chain and applies the enriched append rule.
-    ``tick`` is the wall clock the guard is evaluated at and should be
-    advanced by the caller as simulated time passes.  The full
-    ValidationResult of the most recent call is kept in ``last_result``
-    so rejections can be reported with their reason and certificate.
+    The last target's state is reused while the target id is unchanged
+    (an id fixes its chain, and a ChainState is frozen), so siblings
+    validated against one head fold it once.  ``tick`` is the wall
+    clock the guard is evaluated at and should be advanced by the caller
+    as simulated time passes.  The full ValidationResult of the most
+    recent call is kept in ``last_result`` so rejections can be reported
+    with their reason and certificate.
     """
 
     def __init__(self, scenario: Scenario, tree, *, tick: int = 0):
@@ -364,13 +384,16 @@ class Validator:
         self.tree = tree
         self.tick = tick
         self.last_result: ValidationResult | None = None
+        self._last: tuple[str, ChainState] | None = None  # target id, its state
 
     def __call__(self, payload, target) -> bool:
         self.last_result = self.validate(payload, target)
         return self.last_result.ok
 
     def validate(self, payload, target) -> ValidationResult:
-        state = compute_state(self.tree, target.id, self.scenario.facts)
+        if self._last is None or self._last[0] != target.id:
+            self._last = target.id, compute_state(self.tree, target.id, self.scenario.facts)
+        state = self._last[1]
         if isinstance(payload, TransactionPayload):
             return self._transaction(payload, state)
         if isinstance(payload, ClaimPayload):

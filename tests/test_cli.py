@@ -364,6 +364,36 @@ def test_check_certificate_reports_a_field_of_the_wrong_type(tmp_path, capsys, t
     assert "malformed certificate" in err
 
 
+def test_check_certificate_reports_a_certificate_that_is_not_utf8(tmp_path, capsys):
+    golden = Path(__file__).resolve().parent / "golden" / "cadillac.seed-5.prodigal.cert-0.json"
+    cert = tmp_path / "cert.json"
+    cert.write_bytes(golden.read_bytes() + b"\xff")
+    code, out, err = run_cli(
+        capsys, "check-certificate", str(cert), str(SCENARIOS / "cadillac.plu")
+    )
+    assert_one_error_line(code, out, err)
+    assert err.startswith("plurality: cannot read certificate: ")
+
+
+@pytest.mark.parametrize("command,what", [("run", "scenario"), ("explain", "trace")])
+def test_commands_report_an_input_that_is_not_utf8(tmp_path, capsys, command, what):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"agent A balance 1\n\xff\n")
+    code, out, err = run_cli(capsys, command, str(bad), *(["x"] if command == "explain" else []))
+    assert_one_error_line(code, out, err)
+    assert err.startswith(f"plurality: cannot read {what}: ")
+
+
+def test_run_reports_a_certificate_it_cannot_write(tmp_path, capsys):
+    (tmp_path / "evidential_discord.cert-0.json").mkdir()
+    trace = tmp_path / "evidential_discord.trace.json"
+    code, out, err = run_cli(
+        capsys, "run", str(SCENARIOS / "evidential_discord.plu"), "--trace", str(trace)
+    )
+    assert_one_error_line(code, out, err)
+    assert err.startswith("plurality: cannot write certificate: ")
+
+
 def break_records(doc):
     doc["records"] = 5
 

@@ -316,6 +316,34 @@ def test_consistency_checks_run_once_per_appended_block(monkeypatch):
     assert len(calls) == appended == 5
 
 
+def test_siblings_fold_their_head_once_and_checks_fold_nothing(monkeypatch):
+    folded = []
+    real = plurality.validator.compute_state
+
+    def counting(tree, head, facts=()):
+        folded.append(head)
+        return real(tree, head, facts)
+
+    monkeypatch.setattr(plurality.validator, "compute_state", counting)
+    eng = Engine(
+        parse_scenario(SIBLINGS, name="siblings"),
+        oracle=OracleConfig.prodigal(),
+        consistency_checks=True,
+    )
+    for round_, names in enumerate((["a", "b", "c"], ["d", "e"])):
+        head = eng.tree.select().head
+        folded.clear()
+        pending = [eng.validate_action(n) for n in names]
+        # K sibling validations against one head fold it once
+        assert folded == [head]
+        folded.clear()
+        for p in pending:
+            assert eng.commit_action(p) is not None
+        # a leaf whose parent has passed its check is checked with no fold;
+        # the first round's parent, genesis, was never checked
+        assert len(folded) == (len(names) if round_ == 0 else 0)
+
+
 CONTRADICTED = """
 agent W balance 50
 agent A

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plurality.validator
 from plurality.blocktree import BlockTree, OracleConfig, block_id
 from plurality.certificates import claim_to_doc
 from plurality.logic import (
     Claim,
+    _formula_clauses,
     formula_text,
     refute,
     store_consistent,
@@ -24,6 +26,7 @@ from plurality.validator import (
     GenesisPayload,
     TransactionPayload,
     Validator,
+    _component_of_new_claims,
     chain_claims_consistent,
     check_append,
     compute_state,
@@ -531,6 +534,118 @@ def test_checking_what_a_leaf_adds_agrees_with_a_full_store_check(data):
         assert (leaf in verified) == full(leaf)
 
 
+def connected_claims_oracle(claims, leaf: str, defs) -> list[Claim]:
+    """The claims block ``leaf`` added and those connected to them.
+
+    A breadth-first search over the atoms of every claim of a folded
+    store and of every constraint clause, as the consistency check
+    selected claims before it kept per-block records.
+    """
+    groups = [_formula_clauses(c.body, defs, 100_000)[0] for c in claims]
+    for g in defs.constraints:
+        names, clauses = _formula_clauses(g, defs, 100_000)
+        groups += [[names[abs(lit) - 1] for lit in cl] for cl in clauses]
+    owners: dict[str, list[int]] = {}
+    for i, atoms in enumerate(groups):
+        for a in atoms:
+            owners.setdefault(a, []).append(i)
+    taken = {i for i, c in enumerate(claims) if c.origin == leaf}
+    todo = [a for i in taken for a in groups[i]]
+    reached = set(todo)
+    while todo:
+        for i in owners[todo.pop()]:
+            if i not in taken:
+                taken.add(i)
+                fresh = [a for a in groups[i] if a not in reached]
+                reached.update(fresh)
+                todo += fresh
+    return [c for i, c in enumerate(claims) if i in taken]
+
+
+# LINKED with transfers: ``x`` and ``y`` store a claimed guard beside the
+# source's update, and every transfer shares the one update atom
+LINKED_TX = LINKED + """
+agent W balance 50
+agent A
+issue x = tx W -(1)[claim Om: q]-> A
+issue y = tx W -(1)[claim Om: !s]-> A
+issue z = tx W -(1)[|W| >= 1]-> A
+"""
+
+
+def linked_payloads(s) -> dict[str, object]:
+    texts = ("p", "!p", "q", "r", "s", "!s | q", "p | r", "t", "!t & s", "true")
+    out: dict[str, object] = {
+        text: ClaimPayload(f"c{i}", Claim("Om", parse_formula(text, s)))
+        for i, text in enumerate(texts)
+    }
+    out.update((a.binding, TransactionPayload(a)) for a in s.contract.actions)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_component_of_what_a_block_adds_matches_a_search_of_the_folded_store(data):
+    s = parse_scenario(LINKED_TX, name="linked")
+    d = s.contract.defs
+    payloads = list(linked_payloads(s).values())
+    bt = BlockTree(GenesisPayload.for_contract(s.contract), OracleConfig.prodigal())
+    ids = [bt.genesis.id]
+    steps = st.tuples(st.integers(0, 10**6), st.sampled_from(range(len(payloads))))
+    for parent, which in data.draw(st.lists(steps, min_size=1, max_size=25)):
+        parent = ids[parent % len(ids)]
+        if block_id(payloads[which].canonical(), parent) not in bt:
+            ids.append(attach(bt, parent, payloads[which], 0))
+    for bid in data.draw(st.permutations(ids[1:])):
+        want = connected_claims_oracle(compute_state(bt, bid).claims, bid, d)
+        assert _component_of_new_claims(bt, bid, d) == want
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        # s touches only "!s | q", which is newer than it
+        ["s", "p", "!s | q", "q"],
+        # q reaches r only through the constraint clause !(q & r)
+        ["r", "p", "t", "q"],
+        # x adds W's update and Om's guard claim q; z shares the update
+        ["z", "r", "p", "x"],
+        ["t", "p", "!t & s"],
+        # a leaf under a planted block whose chain was never checked
+        ["p", "!p", "t"],
+        # the leaf contradicts r through "!s | q" and the constraint
+        ["!s | q", "r", "s"],
+    ],
+)
+def test_a_leaf_check_selects_and_decides_as_a_full_fold_does(monkeypatch, chain):
+    s = parse_scenario(LINKED_TX, name="linked")
+    d = s.contract.defs
+    payloads = linked_payloads(s)
+    bt = BlockTree(GenesisPayload.for_contract(s.contract), OracleConfig.prodigal())
+    leaf = bt.genesis.id
+    for key in chain:
+        leaf = attach(bt, leaf, payloads[key], 0)
+    parent = bt.block(leaf).parent
+    claims = compute_state(bt, leaf).claims
+    want = connected_claims_oracle(claims, leaf, d)
+    assert _component_of_new_claims(bt, leaf, d) == want
+    full = store_consistent(claims, d.constraints, d)
+    parent_ok = store_consistent(compute_state(bt, parent).claims, d.constraints, d)
+
+    folded = []
+    real = plurality.validator.compute_state
+
+    def counting(tree, head, facts=()):
+        folded.append(head)
+        return real(tree, head, facts)
+
+    monkeypatch.setattr(plurality.validator, "compute_state", counting)
+    verified = {parent} if parent_ok else set()
+    assert chain_claims_consistent(bt, s, verified) == full
+    # a leaf whose parent has passed is checked without folding its chain
+    assert folded == ([] if parent_ok else [leaf])
+
+
 def test_chain_claims_consistent_flags_forced_discord():
     # bypass validation to plant a contradiction on one chain
     s = parse_scenario("oracle Om\natom p\n", name="t")
@@ -538,6 +653,33 @@ def test_chain_claims_consistent_flags_forced_discord():
     no = ClaimPayload("no", Claim("Om", parse_formula("!p", s)))
     bt = seeded_tree(s, yes, no)
     assert not chain_claims_consistent(bt, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_validator_reused_across_targets_answers_as_a_fresh_one(data):
+    s = bank()
+    payloads = bank_payloads(s) + [
+        ClaimPayload("no", Claim("Omega_Y", parse_formula("!license(A)", s)))
+    ]
+    bt = BlockTree(GenesisPayload.for_contract(s.contract), OracleConfig.prodigal())
+    v = Validator(s, bt)
+    ids = [bt.genesis.id]
+    steps = st.tuples(
+        st.booleans(),
+        st.integers(0, 10**6),
+        st.sampled_from(range(len(payloads))),
+        st.integers(0, 9),
+    )
+    for grow, at, which, tick in data.draw(st.lists(steps, min_size=1, max_size=40)):
+        target, payload = ids[at % len(ids)], payloads[which]
+        if grow:
+            if block_id(payload.canonical(), target) not in bt:
+                ids.append(attach(bt, target, payload, tick))
+            continue
+        v.tick = tick
+        got = v.validate(payload, bt.block(target))
+        assert got == Validator(s, bt, tick=tick).validate(payload, bt.block(target))
 
 
 def test_validated_appends_never_break_store_consistency():

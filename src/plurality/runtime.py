@@ -11,6 +11,9 @@ eligible at once their order is drawn from the seeded generator, which
 is the only source of scheduling nondeterminism — the same seed always
 yields a byte-identical trace.
 
+Each action is indexed under its dependencies, and a name newly on the
+selected chain wakes its waiters (Kahn 1962); no pass walks the contract.
+
 Appending is split-phase, mirroring the block tree: ``validate_action``
 obtains an append token against the current head and ``commit_action``
 spends it.  Tests drive these steps directly to interleave competing
@@ -38,7 +41,7 @@ from .validator import (
     TransactionPayload,
     Validator,
     chain_claims_consistent,
-    compute_state,
+    compute_state,  # not called here; perfbench/test_smoke.py reads runtime.compute_state
     fold_block,
 )
 
@@ -133,7 +136,11 @@ class Engine:
         self._scripted = scenario.scripted()
         self._claim_events: dict[str, ClaimEvent] = {}
         self._publish_serial = 0
-        for a in self.contract.actions:
+        self._index = {a.binding: i for i, a in enumerate(self.contract.actions)}  # -> position
+        self._waiters: dict[str | None, list[int]] = defaultdict(list)  # dep (None: none) -> positions
+        for i, a in enumerate(self.contract.actions):
+            for d in a.deps or (None,):
+                self._waiters[d].append(i)
             rec = Record(a.binding, "action")
             if a.binding not in self._scripted:
                 rec.stage = SUBMITTED
@@ -150,9 +157,9 @@ class Engine:
         self.events.append(Event(len(self.events), self.clock, kind, data))
 
     def _payload(self, name: str):
-        a = self.contract.action(name)
-        if a is not None:
-            return TransactionPayload(a)
+        i = self._index.get(name)
+        if i is not None:
+            return TransactionPayload(self.contract.actions[i])
         ev = self._claim_events.get(name)
         if ev is not None:
             return ClaimPayload(name, ev.claim)
@@ -261,7 +268,7 @@ class Engine:
         self.attempt(e.label)
 
     def _process_submit(self, e: SubmitEvent):
-        action = self.contract.action(e.binding)
+        action = self.contract.actions[self._index[e.binding]]
         source = action.transaction.source
         actor = e.by if e.by is not None else source
         self._emit("submit", name=e.binding, by=actor)
@@ -282,29 +289,45 @@ class Engine:
         Within one tick an action is retried only after some other
         append changed the chain underneath it; across ticks everything
         eligible is retried, since the clock itself is chain state.
+
+        ``ready`` holds, in contract order, the actions not published,
+        unscripted or armed, not tried since the last publish, and with
+        every dependency on the selected chain.  The rule is tested only
+        on this call's unpublished attempts and this pass's woken
+        actions, yet the list is the one a walk of the contract makes:
+        within a call no record leaves PUBLISHED and none is armed, so
+        an untried action that passes now failed last pass on a
+        dependency alone, and that name, new on the head, woke it.  On
+        the first pass every name is new, and the actions without
+        dependencies wake too.
         """
-        last_attempt: dict[str, int] = {}
+        actions = self.contract.actions
+        last_attempt: dict[int, int] = {}  # tried and unpublished -> serial at the try
+        seen, woken = frozenset(), set(self._waiters.get(None, ()))  # names seen, actions woken
         while True:
-            state = compute_state(
-                self.tree, self.tree.select().head, self.scenario.facts
-            )
-            ready = []
-            for a in self.contract.actions:
-                rec = self.records[a.binding]
-                if rec.stage == PUBLISHED:
+            names = self.validator.state_of(self.tree.select().head).published_names
+            for name in names - seen:
+                woken.update(self._waiters.get(name, ()))
+            seen = names
+            ready, candidates, woken = [], woken.union(last_attempt), set()
+            for i in sorted(candidates):
+                a = actions[i]
+                if self.records[a.binding].stage == PUBLISHED:
+                    last_attempt.pop(i, None)
                     continue
                 if a.binding in self._scripted and a.binding not in self._armed:
                     continue
-                if last_attempt.get(a.binding, -1) >= self._publish_serial:
+                if last_attempt.get(i, -1) >= self._publish_serial:
                     continue
-                if any(d not in state.published_names for d in a.deps):
+                if any(d not in names for d in a.deps):
                     continue
-                ready.append(a.binding)
+                ready.append(i)
             if not ready:
                 return
             self.rng.shuffle(ready)
-            for name in ready:
-                last_attempt[name] = self._publish_serial
+            for i in ready:
+                name = actions[i].binding
+                last_attempt[i] = self._publish_serial
                 done = self.attempt(name)
                 if done or self.records[name].stage == REJECTED:
                     self._armed.discard(name)

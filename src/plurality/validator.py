@@ -217,7 +217,10 @@ class PAppResult:
 
 
 def check_append(action: Action, state: ChainState) -> PAppResult:
-    """Structural admissibility of an action against a chain state."""
+    """Structural admissibility of an action against a chain state.
+
+    The amount test guards code-built Actions; a negative amount passes the balance test.
+    """
     tx = action.transaction
     if action.binding in state.published_names:
         return PAppResult(
@@ -369,14 +372,14 @@ class Validator:
     """Validation callback for BlockTree appends.
 
     The tree hands this object a payload and the block it would extend;
-    the validator folds that chain and applies the enriched append rule.
-    The last target's state is reused while the target id is unchanged
-    (an id fixes its chain, and a ChainState is frozen), so siblings
-    validated against one head fold it once.  ``tick`` is the wall
-    clock the guard is evaluated at and should be advanced by the caller
-    as simulated time passes.  The full ValidationResult of the most
-    recent call is kept in ``last_result`` so rejections can be reported
-    with their reason and certificate.
+    the validator folds that chain with ``state_of`` and applies the
+    enriched append rule.  ``state_of`` keeps the last id it folded (an
+    id fixes its chain, and a ChainState is frozen), so the head
+    ``Engine`` reads to schedule and the validations on it share a fold.
+    ``tick`` is the wall clock the guard is evaluated at and should be
+    advanced by the caller as simulated time passes.  The full
+    ValidationResult of the most recent call is kept in ``last_result``
+    so rejections can be reported with their reason and certificate.
     """
 
     def __init__(self, scenario: Scenario, tree, *, tick: int = 0):
@@ -390,10 +393,14 @@ class Validator:
         self.last_result = self.validate(payload, target)
         return self.last_result.ok
 
+    def state_of(self, bid: str) -> ChainState:
+        """The state of the chain ending at ``bid``; a repeated id is not refolded."""
+        if self._last is None or self._last[0] != bid:
+            self._last = bid, compute_state(self.tree, bid, self.scenario.facts)
+        return self._last[1]
+
     def validate(self, payload, target) -> ValidationResult:
-        if self._last is None or self._last[0] != target.id:
-            self._last = target.id, compute_state(self.tree, target.id, self.scenario.facts)
-        state = self._last[1]
+        state = self.state_of(target.id)
         if isinstance(payload, TransactionPayload):
             return self._transaction(payload, state)
         if isinstance(payload, ClaimPayload):

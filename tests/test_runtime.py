@@ -24,7 +24,7 @@ from plurality.runtime import (
     trace_text,
 )
 from plurality.syntax import ClaimEvent, parse_formula, parse_scenario
-from plurality.validator import ClaimPayload, chain_claims_consistent
+from plurality.validator import ClaimPayload, TransactionPayload, chain_claims_consistent
 
 
 FAIR = """
@@ -528,8 +528,10 @@ def test_random_transfer_runs_conserve_and_replay():
 def generated_scenarios(draw):
     """Small contracts under the cadillac uniqueness constraint.
 
-    Transfers carry closed or claimed guards; oracles post claims over
-    2-4 ``st`` atoms, some of them in discord with each other.
+    Transfers carry closed or claimed guards, may wait on earlier
+    transfers, and may be submitted by script, some by the wrong agent;
+    oracles post claims over 2-4 ``st`` atoms, some of them in discord
+    with each other.
     """
     items, vals = draw(st.sampled_from([(1, 2), (1, 3), (1, 4), (2, 2)]))
     wallets = ["P", "Q", "R"]
@@ -548,7 +550,8 @@ def generated_scenarios(draw):
         "st(i{}, v{})".format, st.integers(0, items - 1), st.integers(0, vals - 1)
     )
     literal = st.builds(str.__add__, st.sampled_from(["", "!"]), atom)
-    for i in range(draw(st.integers(1, 4))):
+    transfers = draw(st.integers(1, 4))
+    for i in range(transfers):
         src, snk = draw(st.permutations(wallets))[:2]
         amount = draw(st.integers(1, 20))
         guard = draw(
@@ -558,7 +561,12 @@ def generated_scenarios(draw):
                 st.builds("claim {}: {}".format, st.sampled_from(["Om", "On"]), literal),
             )
         )
-        lines.append(f"issue t{i} = tx {src} -({amount})[{guard}]-> {snk}")
+        deps = draw(st.lists(st.integers(0, i - 1), max_size=2, unique=True)) if i else []
+        after = f"after [{', '.join(f't{j}' for j in deps)}] " if deps else ""
+        lines.append(f"{after}issue t{i} = tx {src} -({amount})[{guard}]-> {snk}")
+    for i in draw(st.lists(st.integers(0, transfers - 1), max_size=3)):
+        by = draw(st.sampled_from(["", *(f" by {w}" for w in wallets)]))
+        lines.append(f"at {draw(st.integers(0, 2))} submit t{i}{by}")
     for k in range(draw(st.integers(0, 4))):
         tick = draw(st.integers(0, 2))
         who = draw(st.sampled_from(["Om", "On"]))
@@ -640,3 +648,249 @@ def test_split_phase_forks_stay_consistent_and_their_certificates_audit(case, or
             certificate_to_text(cert), lambda s: parse_formula(s, auditor)
         )
         check_certificate(back, defs.constraints, defs)
+
+
+# ---------------------------------------------------------------------------
+# The scheduler against its definition
+
+
+class NaiveEngine(Engine):
+    """An engine whose scheduler walks every contract action on every
+    pass and folds the head from genesis for it: the definition that
+    the indexed scheduler must match, decision for decision."""
+
+    def _fire_eligible(self):
+        last_attempt: dict[str, int] = {}
+        while True:
+            state = plurality.validator.compute_state(
+                self.tree, self.tree.select().head, self.scenario.facts
+            )
+            ready = []
+            for a in self.contract.actions:
+                rec = self.records[a.binding]
+                if rec.stage == PUBLISHED:
+                    continue
+                if a.binding in self._scripted and a.binding not in self._armed:
+                    continue
+                if last_attempt.get(a.binding, -1) >= self._publish_serial:
+                    continue
+                if any(d not in state.published_names for d in a.deps):
+                    continue
+                ready.append(a.binding)
+            if not ready:
+                return
+            self.rng.shuffle(ready)
+            for name in ready:
+                last_attempt[name] = self._publish_serial
+                done = self.attempt(name)
+                if done or self.records[name].stage == REJECTED:
+                    self._armed.discard(name)
+
+
+def texts(eng: Engine) -> list[str]:
+    """The trace text, then every certificate's text."""
+    return [trace_text(eng.trace())] + [certificate_to_text(c) for c in eng.certificates]
+
+
+def both_schedulers(source: str, drive, **kw) -> list[Engine]:
+    """Drive an indexed and a naive engine alike; their texts must match."""
+    engines = []
+    for cls in (Engine, NaiveEngine):
+        eng = cls(parse_scenario(source, name="sched"), **kw)
+        drive(eng)
+        engines.append(eng)
+    indexed, naive = engines
+    assert texts(indexed) == texts(naive)
+    return engines
+
+
+@settings(max_examples=80, deadline=None)
+@given(generated_scenarios(), ORACLES, st.integers(0, 1000))
+def test_scheduler_matches_the_naive_walk_on_generated_scenarios(case, oracle, seed):
+    both_schedulers(case[0], Engine.run, oracle=oracle, seed=seed)
+
+
+FORKED_DEPENDENCY = """
+agent W balance 100
+agent A
+agent B
+oracle Om
+atom p
+issue a = tx W -(10)[true]-> A
+issue b = tx W -(10)[true]-> B
+after [a] issue y = tx A -(5)[true]-> B
+after [a] issue v = tx A -(50)[true]-> B
+after [b] issue z = tx B -(5)[true]-> A
+at 0 submit b
+"""
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_scheduler_drops_a_dependency_the_new_head_lacks(seed):
+    moved_at = []  # per engine: the events recorded before the head moved
+
+    def drive(eng):
+        pb = eng.validate_action("b")  # on genesis; b is scripted, so never fired
+        eng._fire_eligible()  # a, then y publish; v is rejected, short of funds
+        tip = eng.commit_action(pb).id  # b lands beside a, one block lower than y
+        for label in ("k1", "k2"):  # two unvalidated claims make b's branch the longest
+            post = ClaimPayload(label, Claim("Om", parse_formula("p", eng.scenario)))
+            token = eng.tree.oracle.grant(tip, block_id(post.canonical(), tip))
+            tip = eng.tree.commit(token, post).id
+        assert eng.tree.select().head == tip
+        moved_at.append(len(eng.events))
+        eng._fire_eligible()
+
+    eng, _ = both_schedulers(FORKED_DEPENDENCY, drive, oracle=OracleConfig.prodigal(), seed=seed)
+    head = eng.tree.select().head
+    names = plurality.validator.compute_state(eng.tree, head).published
+    assert names == ("b", "k1", "k2", "z")
+    # v waits on a, which the new head lacks: it is not retried there
+    rejected = [(e.seq < moved_at[0], e.data["name"]) for e in eng.events if e.kind == "reject"]
+    assert rejected and set(rejected) == {(True, "v")}
+    assert eng.records["y"].stage == PUBLISHED and eng.records["v"].stage == REJECTED
+
+
+DIRECT_DEPENDENCY = """
+agent W balance 50
+agent A
+agent B
+issue x = tx W -(10)[true]-> A
+after [x] issue y = tx A -(5)[true]-> B
+"""
+
+
+def test_scheduler_wakes_on_a_block_committed_to_the_tree_directly():
+    def drive(eng):
+        tx = TransactionPayload(eng.contract.action("x"))
+        g = eng.tree.genesis.id
+        eng.tree.commit(eng.tree.oracle.grant(g, block_id(tx.canonical(), g)), tx)
+        eng.run()
+
+    eng, _ = both_schedulers(DIRECT_DEPENDENCY, drive)
+    # x's record never saw its block, so the scheduler tries it, again
+    # after y lands, and the validator finds it published each time;
+    # y waits on the chain, not on records
+    rejects = [e.data for e in eng.events if e.kind == "reject"]
+    assert [(r["name"], r["detail"].split(":")[0]) for r in rejects] == [
+        ("x", "DuplicateBinding"),
+        ("x", "DuplicateBinding"),
+    ]
+    assert eng.records["x"].stage == REJECTED
+    assert eng.records["y"].stage == PUBLISHED
+
+
+REARMED = """
+agent W balance 50
+agent A
+agent B
+issue x = tx W -(10)[!before(2)]-> A
+after [x] issue y = tx A -(5)[true]-> B
+at 0 submit x
+at 3 submit x
+"""
+
+
+def test_scheduler_rearms_a_rejected_action_on_a_later_submit():
+    eng, _ = both_schedulers(REARMED, Engine.run)
+    assert [(e.tick, e.data["name"]) for e in eng.events if e.kind == "reject"] == [(0, "x")]
+    assert [(e.tick, e.data["name"]) for e in eng.events if e.kind == "append"] == [
+        (3, "x"),
+        (3, "y"),
+    ]
+
+
+NEVER_ARMED = """
+agent W balance 50
+agent A
+agent B
+horizon 2
+issue x = tx W -(10)[true]-> A
+after [x] issue y = tx A -(5)[true]-> B
+issue z = tx W -(5)[true]-> B
+at 0 submit x by A
+"""
+
+
+def test_scheduler_never_fires_a_scripted_action_left_unarmed():
+    eng, _ = both_schedulers(NEVER_ARMED, Engine.run)
+    (reject,) = [e.data for e in eng.events if e.kind == "reject"]
+    assert reject["name"] == "x" and reject["reason"] == WRONG_SUBMITTER
+    assert [e.data["name"] for e in eng.events if e.kind == "append"] == ["z"]
+    assert eng.records["y"].stage == SUBMITTED
+
+
+# Positions: x 0, v 1, n 2, f0..f13 3..16, w 17.  When v is tried before
+# x lands, the next pass readies v (a retry) and w (woken by x); 17 and
+# 1 share a slot in a small set, so only sorting puts v first.
+CONTRACT_ORDER = "\n".join(
+    [
+        "agent W balance 50",
+        "agent A",
+        "issue x = tx W -(10)[true]-> A",
+        "issue v = tx W -(100)[true]-> A",
+        "issue n = tx W -(1)[true]-> A",
+        *(f"after [n] issue f{k} = tx W -(1)[true]-> A" for k in range(14)),
+        "after [x] issue w = tx W -(1)[true]-> A",
+        "at 0 submit n by A",
+    ]
+)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scheduler_keeps_contract_order_before_the_shuffle(seed):
+    eng, _ = both_schedulers(CONTRACT_ORDER, Engine.run, seed=seed)
+    assert eng.records["w"].stage == PUBLISHED and eng.records["v"].stage == REJECTED
+
+
+def chain_source(n: int) -> str:
+    """chain-N: F pays W0..W(n-1) one each, each transfer after the previous."""
+    lines = [f"agent F balance {n}"] + [f"agent W{i}" for i in range(n)]
+    lines += [
+        (f"after [x{i - 1}] " if i else "") + f"issue x{i} = tx F -(1)[true]-> W{i}"
+        for i in range(n)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("cls,folds", [(Engine, 1), (NaiveEngine, 2)])
+def test_scheduler_folds_each_head_once_on_a_chain(monkeypatch, cls, folds):
+    calls = []
+    real = plurality.validator.compute_state
+
+    def counting(tree, head, facts=()):
+        calls.append(head)
+        return real(tree, head, facts)
+
+    monkeypatch.setattr(plurality.validator, "compute_state", counting)
+    n = 40
+    eng = cls(parse_scenario(chain_source(n), name="chain"))
+    eng.run()
+    assert all(r.stage == PUBLISHED for r in eng.records.values())
+    # one fold per pass; the naive pass folds again for the validation
+    assert len(calls) == folds * n + 1
+
+
+class CountingRecords(dict):
+    """An engine's records that count lookups by name."""
+
+    reads = 0
+
+    def __getitem__(self, name):
+        self.reads += 1
+        return super().__getitem__(name)
+
+
+@pytest.mark.parametrize("cls", [Engine, NaiveEngine])
+def test_scheduler_examines_linearly_many_actions_on_a_chain(cls):
+    n = 100
+    eng = cls(parse_scenario(chain_source(n), name="chain"))
+    eng.records = counted = CountingRecords(eng.records)
+    eng.run()
+    assert all(r.stage == PUBLISHED for r in eng.records.values())
+    if cls is Engine:
+        # per action: woken, fired and committed, then seen once more as
+        # published; commits read the record too
+        assert counted.reads <= 4 * n
+    else:
+        assert counted.reads > n * n  # the walk reads every record on every pass

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -302,6 +303,19 @@ def test_check_append_insufficient_balance():
     r = check_append(a, state_with(balances={"W": 9}))
     assert not r.ok and r.code == "InsufficientBalance"
     assert check_append(a, state_with(balances={"W": 10})).ok
+
+
+@pytest.mark.parametrize("amount", [0, -5])
+def test_non_positive_amount_built_in_code_is_rejected(amount):
+    # the parser rejects such an amount; an Action built in code can carry one,
+    # and -5 would pass the balance test and move funds from sink to source
+    s = bank()
+    x = s.contract.action("x")
+    bad = replace(x, transaction=replace(x.transaction, amount=amount))
+    bt = BlockTree(GenesisPayload.for_contract(s.contract), OracleConfig.prodigal())
+    r = Validator(s, bt).validate(TransactionPayload(bad), head(bt))
+    assert not r.ok and r.reason == "AppendConditions"
+    assert "NonPositiveAmount" in r.detail
 
 
 def test_check_append_order():

@@ -2,14 +2,15 @@
 
 The tree itself never inspects payloads: a payload is anything with a
 ``canonical()`` text form (hashed into the block id) and a short
-``describe()`` label.  Validation is a callback supplied by the caller,
-so the tree composes with the enriched validator without depending on
-it.
+``describe()`` label.  Validation is the caller's business: a caller
+validates a payload against the selected head first and asks for a
+token only once it has passed, so the tree does not depend on the
+validator.
 
 Appending is split into the two steps a racing environment would see:
-``get_token`` (validate against the current head and obtain an append
-token) and ``commit`` (consume the token and attach the block in one
-atomic step).  The token oracle is what turns the tree into a chain:
+``get_token`` (obtain an append token against the current head) and
+``commit`` (consume the token and attach the block in one atomic
+step).  The token oracle is what turns the tree into a chain:
 a Frugal(k) oracle lets at most k children ever attach under one
 block, so Frugal(1) forces a single chain, while a Prodigal oracle
 lets every fork through.
@@ -18,7 +19,7 @@ lets every fork through.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class BlockTreeError(Exception):
@@ -134,13 +135,6 @@ class TokenOracle:
         return self._spent.get(target, 0)
 
 
-@dataclass(frozen=True)
-class Selection:
-    """The head of the selected chain; ``BlockTree.chain_to`` gives the chain."""
-
-    head: str
-
-
 class BlockTree:
     """Append-only tree of payload-carrying blocks with one selected chain.
 
@@ -158,7 +152,7 @@ class BlockTree:
         self._append_tick: dict[str, int] = {gid: 0}
         self._leaves: set[str] = {gid}
         self._sorted_leaves: tuple[str, ...] | None = (gid,)  # None after a commit
-        self._selection = Selection(gid)
+        self._head = gid
         self.oracle = TokenOracle(oracle)
 
     # -- reading ----------------------------------------------------------
@@ -201,25 +195,21 @@ class BlockTree:
         self.block(bid)
         return self._append_tick[bid]
 
-    def select(self) -> Selection:
-        """Longest chain; ties broken by smallest head id."""
-        return self._selection
+    def select(self) -> str:
+        """The head of the longest chain, ties to the smallest id."""
+        return self._head
 
     # -- writing ----------------------------------------------------------
 
-    def get_token(self, head_id: str, payload, validator) -> Token | None:
-        """Validate ``payload`` for appending on ``head_id``.
+    def get_token(self, head_id: str, payload) -> Token:
+        """An append token for ``payload`` on ``head_id``.
 
         ``head_id`` must still be the selected head (else StaleHead).
-        Returns an append token, or None when validation rejects.
         The token stays valid even if the head later moves — whether it
         can still be spent is the token oracle's decision at commit.
         """
-        if head_id != self.select().head:
+        if head_id != self._head:
             raise StaleHead(f"{head_id[:12]} is not the selected head")
-        target = self.block(head_id)
-        if not validator(payload, target):
-            return None
         return self.oracle.grant(head_id, block_id(payload.canonical(), head_id))
 
     def commit(self, token: Token, payload, *, tick: int = 0) -> Block:
@@ -245,9 +235,9 @@ class BlockTree:
         self._leaves.discard(parent.id)
         self._leaves.add(b.id)
         self._sorted_leaves = None
-        head = self._blocks[self._selection.head]
+        head = self._blocks[self._head]
         if b.height > head.height or (b.height == head.height and b.id < head.id):
-            self._selection = Selection(b.id)
+            self._head = b.id
         return b
 
     # -- export -----------------------------------------------------------

@@ -15,10 +15,11 @@ Each action is indexed under its dependencies, and a name newly on the
 selected chain wakes its waiters (Kahn 1962); no pass walks the contract.
 
 Appending is split-phase, mirroring the block tree: ``validate_action``
-obtains an append token against the current head and ``commit_action``
-spends it.  Tests drive these steps directly to interleave competing
-appends; ``attempt`` is the retry loop the scheduler uses, which
-re-validates whenever a commit loses the head race.
+validates against the current head and, on a pass only, obtains an
+append token there; ``commit_action`` spends it.  Tests drive these
+steps directly to interleave competing appends; ``attempt`` is the retry
+loop the scheduler uses, which re-validates whenever a commit loses the
+head race.
 
 Failed validations never halt the run.  They are recorded as rejection
 events carrying the validator's reason, and a discord rejection
@@ -106,9 +107,9 @@ class Engine:
     With ``consistency_checks`` every commit checks that no branch's
     claim store has become refutable, and raises ConsistencyError if one
     has.  Each new block is checked once, when it is appended (verdicts
-    are kept per block id), by what it adds to its parent's checked
-    store; a leaf attached to the tree by other means is checked at the
-    next commit (see ``chain_claims_consistent``).
+    are kept per block id), by what its chain adds to its nearest
+    checked block's store; a leaf attached to the tree by other means is
+    checked at the next commit (see ``chain_claims_consistent``).
     """
 
     def __init__(
@@ -137,10 +138,10 @@ class Engine:
         self._claim_events: dict[str, ClaimEvent] = {}
         self._publish_serial = 0
         self._index = {a.binding: i for i, a in enumerate(self.contract.actions)}  # -> position
-        self._waiters: dict[str | None, list[int]] = defaultdict(list)  # dep (None: none) -> positions
+        self._waiters: dict[str | None, set[int]] = defaultdict(set)  # dep (None: none) -> positions
         for i, a in enumerate(self.contract.actions):
             for d in a.deps or (None,):
-                self._waiters[d].append(i)
+                self._waiters[d].add(i)
             rec = Record(a.binding, "action")
             if a.binding not in self._scripted:
                 rec.stage = SUBMITTED
@@ -191,14 +192,12 @@ class Engine:
         """Validate against the current head; None means rejected (and logged)."""
         payload = self._payload(name)
         tick = self.clock if tick is None else tick
-        self.validator.tick = tick
-        head = self.tree.select().head
-        token = self.tree.get_token(head, payload, self.validator)
-        if token is None:
-            r = self.validator.last_result
+        head = self.tree.select()
+        r = self.validator.validate(payload, head, tick)
+        if not r.ok:
             self._reject(name, r.reason, r.detail, r.certificate)
             return None
-        return PendingAppend(name, payload, token, head, tick)
+        return PendingAppend(name, payload, self.tree.get_token(head, payload), head, tick)
 
     def commit_action(self, pending: PendingAppend):
         """Spend the token and attach the block.
@@ -295,17 +294,18 @@ class Engine:
         every dependency on the selected chain.  The rule is tested only
         on this call's unpublished attempts and this pass's woken
         actions, yet the list is the one a walk of the contract makes:
-        within a call no record leaves PUBLISHED and none is armed, so
+        no record leaves PUBLISHED and within a call none is armed, so
         an untried action that passes now failed last pass on a
         dependency alone, and that name, new on the head, woke it.  On
         the first pass every name is new, and the actions without
-        dependencies wake too.
+        dependencies wake too.  An action seen published leaves
+        ``_waiters``, so a later call's first pass does not wake it.
         """
         actions = self.contract.actions
         last_attempt: dict[int, int] = {}  # tried and unpublished -> serial at the try
         seen, woken = frozenset(), set(self._waiters.get(None, ()))  # names seen, actions woken
         while True:
-            names = self.validator.state_of(self.tree.select().head).published_names
+            names = self.validator.state_of(self.tree.select()).published_names
             for name in names - seen:
                 woken.update(self._waiters.get(name, ()))
             seen = names
@@ -314,6 +314,8 @@ class Engine:
                 a = actions[i]
                 if self.records[a.binding].stage == PUBLISHED:
                     last_attempt.pop(i, None)
+                    for d in a.deps or (None,):
+                        self._waiters[d].discard(i)
                     continue
                 if a.binding in self._scripted and a.binding not in self._armed:
                     continue
@@ -336,7 +338,7 @@ class Engine:
 
     def trace(self) -> dict:
         tree = self.tree
-        head = tree.select().head
+        head = tree.select()
         chains: dict[str, dict] = {}
         asserted: set = set()  # no chain document shows it, so all branches share one
         # Blocks still to fold, each with its parent chain's balances,

@@ -210,56 +210,60 @@ def compute_state(tree, head_id: str, facts=()) -> ChainState:
 
 
 @dataclass(frozen=True)
-class PAppResult:
+class ValidationResult:
+    """Outcome of validating one payload against one chain.
+
+    ``reason`` is None on success, else one of "AppendConditions",
+    "GuardFalse", "Discord" or "ResourceLimit" (the discord check could
+    not be decided within its limits, or raised another logic error); a
+    discord result carries the minimized certificate.
+    """
+
     ok: bool
-    code: str | None = None
+    reason: str | None = None
     detail: str | None = None
+    certificate: DiscordCertificate | None = None
 
 
-def check_append(action: Action, state: ChainState) -> PAppResult:
+def _unmet(code: str, detail: str) -> ValidationResult:
+    return ValidationResult(False, "AppendConditions", f"{code}: {detail}")
+
+
+def check_append(action: Action, state: ChainState) -> ValidationResult:
     """Structural admissibility of an action against a chain state.
 
-    The amount test guards code-built Actions; a negative amount passes the balance test.
+    A rejection's detail starts with the failed condition's code.  The
+    amount test guards code-built Actions; a negative amount passes the
+    balance test.
     """
     tx = action.transaction
     if action.binding in state.published_names:
-        return PAppResult(
-            False, "DuplicateBinding", f"binding {action.binding!r} is already published"
-        )
+        return _unmet("DuplicateBinding", f"binding {action.binding!r} is already published")
     for dep in action.deps:
         if dep not in state.published_names:
-            return PAppResult(
-                False, "UnmetDependency", f"dependency {dep!r} is not yet published"
-            )
+            return _unmet("UnmetDependency", f"dependency {dep!r} is not yet published")
     held = state.balances.get(tx.source, 0)
     if held < tx.amount:
-        return PAppResult(
-            False,
-            "InsufficientBalance",
-            f"{tx.source} holds {held}, needs {tx.amount}",
-        )
+        return _unmet("InsufficientBalance", f"{tx.source} holds {held}, needs {tx.amount}")
     if tx.amount <= 0:
-        return PAppResult(
-            False, "NonPositiveAmount", f"amount {tx.amount} is not positive"
-        )
-    return PAppResult(True)
+        return _unmet("NonPositiveAmount", f"amount {tx.amount} is not positive")
+    return ValidationResult(True)
 
 
 # ---------------------------------------------------------------------------
 # Discord
 
 
-def proof_of_discord(claims, constraints, candidate: Claim, defs):
+def proof_of_discord(claims, constraints, candidate: Claim, defs) -> DiscordCertificate | None:
     """Admit ``candidate`` unless the store refutes it.
 
-    Returns ``(True, None)`` when the claim is admissible and
-    ``(False, certificate)`` with a minimized discord certificate when
-    the store plus constraints prove its negation.
+    Returns None when the claim is admissible, else a minimized discord
+    certificate: the store plus constraints prove its negation.
     """
     try:
-        return False, minimize_conflict(claims, constraints, candidate, defs)
+        return minimize_conflict(claims, constraints, candidate, defs)
     except NotInConflict:
-        return True, None
+        return None
 
 
 def chain_claims_consistent(tree, scenario: Scenario, verified: set[str] | None = None) -> bool:
@@ -274,17 +278,18 @@ def chain_claims_consistent(tree, scenario: Scenario, verified: set[str] | None 
     verdict also depends on the scenario's constraints, which the id
     does not cover, so a set must not be shared between scenarios.
 
-    A leaf whose parent is in ``verified`` is checked by what it adds:
-    ``store_consistent`` gets the leaf's own claims, the stored claims
+    A leaf is checked by what its chain added since its nearest
+    verified block, or since genesis when no block on it is verified:
+    ``store_consistent`` gets those new claims, the stored claims
     connected to them through shared ground atoms (directly or through
     constraint clauses), and the constraints, whole.  This is exact.
     Split the store and the constraint clauses into components that
     share no atom: a component without a new claim is part of the
-    parent's store plus the constraints, which is known to be
-    consistent, so the store is consistent iff the new claims' component
-    is.  It folds no chain: each block's claims and their atom keys are
-    kept per block id on the definitions.  Any other leaf's whole store
-    is folded and checked.
+    verified block's store plus the constraints, which is known to be
+    consistent, so the store is consistent iff the new claims'
+    component is.  With no verified block every claim is new, and the
+    check takes the whole store.  No check folds a chain: each block's
+    claims and their atom keys are kept per block id on the definitions.
     """
     d = scenario.contract.defs
     if verified is None:
@@ -292,10 +297,7 @@ def chain_claims_consistent(tree, scenario: Scenario, verified: set[str] | None 
     for leaf in tree.leaves():
         if leaf in verified:
             continue
-        if tree.block(leaf).parent in verified:
-            claims = _component_of_new_claims(tree, leaf, d)
-        else:
-            claims = compute_state(tree, leaf, scenario.facts).claims
+        claims = _component_of_new_claims(tree, leaf, d, verified)
         if not store_consistent(claims, d.constraints, d):
             return False
         verified.add(leaf)
@@ -317,14 +319,19 @@ def _block_claims(block, defs) -> tuple[tuple[Claim, list[str]], ...]:
     return got
 
 
-def _component_of_new_claims(tree, leaf: str, defs) -> list[Claim]:
-    """The claims block ``leaf`` adds and the stored claims connected to them.
+def _component_of_new_claims(tree, leaf: str, defs, verified) -> list[Claim]:
+    """The new claims on ``leaf``'s chain and the stored claims connected to them.
 
-    A stored claim is connected when it shares a ground atom with a new
+    A claim is new when its block comes after the nearest block of the
+    chain in ``verified``; with none there, every claim is new.  A
+    stored claim is connected when it shares a ground atom with a new
     claim, directly or through a chain of claims and constraint clauses.
     The claims keep their store order.
     """
-    records = [r for bid in tree.chain_to(leaf) for r in _block_claims(tree.block(bid), defs)]
+    chain = tree.chain_to(leaf)
+    start = next((i for i in range(len(chain), 0, -1) if chain[i - 1] in verified), 0)
+    old = [r for bid in chain[:start] for r in _block_claims(tree.block(bid), defs)]
+    records = old + [r for bid in chain[start:] for r in _block_claims(tree.block(bid), defs)]
     if defs._constraint_atoms is None:  # set only once every constraint has its clauses
         compiled = [_formula_clauses(g, defs, _MAX_CLAUSES) for g in defs.constraints]
         defs._constraint_atoms = [
@@ -335,7 +342,7 @@ def _component_of_new_claims(tree, leaf: str, defs) -> list[Claim]:
     for i, atoms in enumerate(groups):
         for a in atoms:
             owners.setdefault(a, []).append(i)
-    taken = {i for i, (c, _) in enumerate(records) if c.origin == leaf}
+    taken = set(range(len(old), len(records)))
     todo = [a for i in taken for a in groups[i]]
     reached = set(todo)
     while todo:
@@ -349,49 +356,23 @@ def _component_of_new_claims(tree, leaf: str, defs) -> list[Claim]:
 
 
 # ---------------------------------------------------------------------------
-# The validation callback
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    """Outcome of validating one payload against one chain.
-
-    ``reason`` is None on success, else one of "AppendConditions",
-    "GuardFalse", "Discord" or "ResourceLimit" (the discord check could
-    not be decided within its limits, or raised another logic error); a
-    discord result carries the minimized certificate.
-    """
-
-    ok: bool
-    reason: str | None = None
-    detail: str | None = None
-    certificate: DiscordCertificate | None = None
+# The validator
 
 
 class Validator:
-    """Validation callback for BlockTree appends.
+    """Applies the enriched append rule to payloads on one block tree.
 
-    The tree hands this object a payload and the block it would extend;
-    the validator folds that chain with ``state_of`` and applies the
-    enriched append rule.  ``state_of`` keeps the last id it folded (an
-    id fixes its chain, and a ChainState is frozen), so the head
-    ``Engine`` reads to schedule and the validations on it share a fold.
-    ``tick`` is the wall clock the guard is evaluated at and should be
-    advanced by the caller as simulated time passes.  The full
-    ValidationResult of the most recent call is kept in ``last_result``
-    so rejections can be reported with their reason and certificate.
+    ``validate`` folds the target's chain with ``state_of`` and returns
+    the verdict; a caller asks the tree for an append token only once it
+    has passed.  ``state_of`` keeps the last id it folded (an id fixes
+    its chain, and a ChainState is frozen), so the head ``Engine`` reads
+    to schedule and the validations on it share a fold.
     """
 
-    def __init__(self, scenario: Scenario, tree, *, tick: int = 0):
+    def __init__(self, scenario: Scenario, tree):
         self.scenario = scenario
         self.tree = tree
-        self.tick = tick
-        self.last_result: ValidationResult | None = None
         self._last: tuple[str, ChainState] | None = None  # target id, its state
-
-    def __call__(self, payload, target) -> bool:
-        self.last_result = self.validate(payload, target)
-        return self.last_result.ok
 
     def state_of(self, bid: str) -> ChainState:
         """The state of the chain ending at ``bid``; a repeated id is not refolded."""
@@ -399,29 +380,30 @@ class Validator:
             self._last = bid, compute_state(self.tree, bid, self.scenario.facts)
         return self._last[1]
 
-    def validate(self, payload, target) -> ValidationResult:
-        state = self.state_of(target.id)
+    def validate(self, payload, head_id: str, tick: int) -> ValidationResult:
+        """Validate ``payload`` for appending on ``head_id``; guards read ``tick``."""
+        state = self.state_of(head_id)
         if isinstance(payload, TransactionPayload):
-            return self._transaction(payload, state)
+            return self._transaction(payload, state, tick)
         if isinstance(payload, ClaimPayload):
-            return self._claim(payload.claim, state)
+            return self._admit_claims((payload.claim,), state)
         return ValidationResult(
             False, "AppendConditions", f"unrecognized payload kind {type(payload).__name__}"
         )
 
     # -- payload kinds ----------------------------------------------------
 
-    def _transaction(self, payload: TransactionPayload, state: ChainState) -> ValidationResult:
+    def _transaction(
+        self, payload: TransactionPayload, state: ChainState, tick: int
+    ) -> ValidationResult:
         action = payload.action
         defs = self.scenario.contract.defs
         structural = check_append(action, state)
         if not structural.ok:
-            return ValidationResult(
-                False, "AppendConditions", f"{structural.code}: {structural.detail}"
-            )
+            return structural
         tx = action.transaction
         if isinstance(tx.guard, ClosedGuard):
-            model = Model(balances=state.balances, asserted=state.asserted, clock=self.tick)
+            model = Model(balances=state.balances, asserted=state.asserted, clock=tick)
             try:
                 holds = evaluate(tx.guard.formula, model, defs)
             except LogicError as e:
@@ -434,19 +416,16 @@ class Validator:
                 )
         return self._admit_claims(payload.claims("submitted"), state)
 
-    def _claim(self, claim: Claim, state: ChainState) -> ValidationResult:
-        return self._admit_claims((claim,), state)
-
     def _admit_claims(self, candidates, state: ChainState) -> ValidationResult:
         """Every claim a payload adds must survive proof-of-discord."""
         defs = self.scenario.contract.defs
         store = list(state.claims)
         for cand in candidates:
             try:
-                admitted, cert = proof_of_discord(store, defs.constraints, cand, defs)
+                cert = proof_of_discord(store, defs.constraints, cand, defs)
             except LogicError as e:
                 return ValidationResult(False, "ResourceLimit", str(e))
-            if not admitted:
+            if cert is not None:
                 accountable = ", ".join(cert.authorities)
                 return ValidationResult(
                     False,

@@ -232,10 +232,6 @@ class Note:
         return f"note {self.text}"
 
 
-def ok(payload, target) -> bool:
-    return True
-
-
 def all_block_ids(tree: BlockTree) -> list[str]:
     out, work = [], [tree.genesis.id]
     while work:
@@ -273,8 +269,7 @@ def test_07_token_oracle_randomized_properties():
                 else:
                     counter += 1
                     payload = Note(f"n{counter}")
-                    token = tree.get_token(tree.select().head, payload, ok)
-                    assert token is not None
+                    token = tree.get_token(tree.select(), payload)
                     pending.append((token, payload))
             for bid in all_block_ids(tree):
                 assert len(tree.children(bid)) <= k

@@ -32,34 +32,23 @@ class Note:
         return self.tag
 
 
-def ok(payload, head) -> bool:
-    return True
-
-
-def no(payload, head) -> bool:
-    return False
-
-
 def fresh(oracle=OracleConfig.frugal(1)) -> BlockTree:
     return BlockTree(Note("genesis"), oracle)
 
 
-def put(bt: BlockTree, payload, validator=ok, *, tick: int = 0):
-    """Validate on the selected head and commit there: the new block, or
-    None when validation rejects."""
-    token = bt.get_token(bt.select().head, payload, validator)
-    return None if token is None else bt.commit(token, payload, tick=tick)
+def put(bt: BlockTree, payload, *, tick: int = 0):
+    """Take a token on the selected head and commit there: the new block."""
+    return bt.commit(bt.get_token(bt.select(), payload), payload, tick=tick)
 
 
 def selected_tags(bt: BlockTree) -> list[str]:
-    return [bt.block(b).payload.tag for b in bt.chain_to(bt.select().head)]
+    return [bt.block(b).payload.tag for b in bt.chain_to(bt.select())]
 
 
 def test_genesis_only_selection():
     bt = fresh()
-    sel = bt.select()
-    assert sel.head == bt.genesis.id
-    assert bt.chain_to(sel.head) == (bt.genesis.id,)
+    assert bt.select() == bt.genesis.id
+    assert bt.chain_to(bt.select()) == (bt.genesis.id,)
     assert len(bt) == 1
 
 
@@ -80,23 +69,16 @@ def test_append_chain_and_read():
     a = put(bt, Note("a"), tick=1)
     b = put(bt, Note("b"), tick=2)
     assert selected_tags(bt) == ["genesis", "a", "b"]
-    assert bt.select().head == b.id
+    assert bt.select() == b.id
     assert bt.append_tick(b.id) == 2
     assert bt.chain_to(b.id) == (bt.genesis.id, a.id, b.id)
-
-
-def test_validation_failure_blocks_append():
-    bt = fresh()
-    assert bt.get_token(bt.genesis.id, Note("a"), no) is None
-    assert put(bt, Note("a"), no) is None
-    assert len(bt) == 1
 
 
 def test_stale_head_rejected():
     bt = fresh()
     put(bt, Note("a"))
     with pytest.raises(StaleHead):
-        bt.get_token(bt.genesis.id, Note("b"), ok)
+        bt.get_token(bt.genesis.id, Note("b"))
 
 
 def test_unknown_block():
@@ -107,7 +89,7 @@ def test_unknown_block():
 
 def test_token_single_use():
     bt = fresh(OracleConfig.prodigal())
-    t = bt.get_token(bt.genesis.id, Note("a"), ok)
+    t = bt.get_token(bt.genesis.id, Note("a"))
     bt.commit(t, Note("a"))
     with pytest.raises(AlreadyConsumed):
         bt.commit(t, Note("a"))
@@ -115,7 +97,7 @@ def test_token_single_use():
 
 def test_token_is_bound_to_its_payload():
     bt = fresh()
-    t = bt.get_token(bt.genesis.id, Note("a"), ok)
+    t = bt.get_token(bt.genesis.id, Note("a"))
     with pytest.raises(BlockTreeError):
         bt.commit(t, Note("b"))
     # nothing was consumed; the token still spends fine
@@ -124,15 +106,15 @@ def test_token_is_bound_to_its_payload():
 
 def test_prodigal_allows_forks_frugal_does_not():
     bt = fresh(OracleConfig.prodigal())
-    t1 = bt.get_token(bt.genesis.id, Note("a"), ok)
-    t2 = bt.get_token(bt.genesis.id, Note("b"), ok)
+    t1 = bt.get_token(bt.genesis.id, Note("a"))
+    t2 = bt.get_token(bt.genesis.id, Note("b"))
     bt.commit(t1, Note("a"))
     bt.commit(t2, Note("b"))
     assert len(bt.children(bt.genesis.id)) == 2
 
     ft = fresh(OracleConfig.frugal(1))
-    t1 = ft.get_token(ft.genesis.id, Note("a"), ok)
-    t2 = ft.get_token(ft.genesis.id, Note("b"), ok)
+    t1 = ft.get_token(ft.genesis.id, Note("a"))
+    t2 = ft.get_token(ft.genesis.id, Note("b"))
     ft.commit(t1, Note("a"))
     with pytest.raises(FrugalLimitReached):
         ft.commit(t2, Note("b"))
@@ -143,8 +125,8 @@ def test_frugal_race_resolves_on_new_head():
     # two writers validate against the same head; the loser validates
     # again on the winner's block and lands behind it
     bt = fresh(OracleConfig.frugal(1))
-    t1 = bt.get_token(bt.genesis.id, Note("a"), ok)
-    t2 = bt.get_token(bt.genesis.id, Note("b"), ok)
+    t1 = bt.get_token(bt.genesis.id, Note("a"))
+    t2 = bt.get_token(bt.genesis.id, Note("b"))
     a = bt.commit(t1, Note("a"))
     with pytest.raises(FrugalLimitReached):
         bt.commit(t2, Note("b"))
@@ -155,24 +137,24 @@ def test_frugal_race_resolves_on_new_head():
 
 def test_equal_height_fork_selects_smallest_head_id():
     bt = fresh(OracleConfig.prodigal())
-    t1 = bt.get_token(bt.genesis.id, Note("a"), ok)
-    t2 = bt.get_token(bt.genesis.id, Note("b"), ok)
+    t1 = bt.get_token(bt.genesis.id, Note("a"))
+    t2 = bt.get_token(bt.genesis.id, Note("b"))
     a = bt.commit(t1, Note("a"))
     b = bt.commit(t2, Note("b"))
     expected = min(a.id, b.id)
-    assert bt.select().head == expected
+    assert bt.select() == expected
     # extending the larger-id branch makes it strictly longer and selected
     loser = b if expected == a.id else a
     # manual token dance: the loser branch is not the head, so drive commit
     t3 = bt.oracle.grant(loser.id, block_id("note c", loser.id))
     c = bt.commit(t3, Note("c"))
-    assert bt.select().head == c.id
-    assert bt.chain_to(bt.select().head) == (bt.genesis.id, loser.id, c.id)
+    assert bt.select() == c.id
+    assert bt.chain_to(bt.select()) == (bt.genesis.id, loser.id, c.id)
 
 
 def test_frugal_k_bounds_children():
     bt = fresh(OracleConfig.frugal(2))
-    tokens = [bt.get_token(bt.genesis.id, Note(f"n{i}"), ok) for i in range(3)]
+    tokens = [bt.get_token(bt.genesis.id, Note(f"n{i}")) for i in range(3)]
     bt.commit(tokens[0], Note("n0"))
     bt.commit(tokens[1], Note("n1"))
     with pytest.raises(FrugalLimitReached):
@@ -182,8 +164,8 @@ def test_frugal_k_bounds_children():
 
 def test_duplicate_block_rejected():
     bt = fresh(OracleConfig.prodigal())
-    t1 = bt.get_token(bt.genesis.id, Note("a"), ok)
-    t2 = bt.get_token(bt.genesis.id, Note("a"), ok)
+    t1 = bt.get_token(bt.genesis.id, Note("a"))
+    t2 = bt.get_token(bt.genesis.id, Note("a"))
     bt.commit(t1, Note("a"))
     with pytest.raises(BlockTreeError):
         bt.commit(t2, Note("a"))
@@ -192,8 +174,8 @@ def test_duplicate_block_rejected():
 def test_snapshot_is_sorted_and_stable():
     def build():
         bt = fresh(OracleConfig.prodigal())
-        t1 = bt.get_token(bt.genesis.id, Note("a"), ok)
-        t2 = bt.get_token(bt.genesis.id, Note("b"), ok)
+        t1 = bt.get_token(bt.genesis.id, Note("a"))
+        t2 = bt.get_token(bt.genesis.id, Note("b"))
         bt.commit(t1, Note("a"))
         bt.commit(t2, Note("b"))
         return bt
@@ -205,7 +187,7 @@ def test_snapshot_is_sorted_and_stable():
 
 
 def scanned_head_and_leaves(bt: BlockTree, ids) -> tuple[str, tuple[str, ...]]:
-    """Selection by a scan of every block: the longest chain's leaf, ties
+    """Head selection by a scan of every block: the longest chain's leaf, ties
     to the smallest id, and the leaves in id order."""
     leaves = tuple(sorted(b for b in ids if not bt.children(b)))
     best = None
@@ -223,14 +205,14 @@ def scanned_head_and_leaves(bt: BlockTree, ids) -> tuple[str, tuple[str, ...]]:
 def test_head_and_leaves_of_random_prodigal_trees_match_a_scan(parents):
     bt = fresh(OracleConfig.prodigal())
     ids = [bt.genesis.id]
-    assert (bt.select().head, bt.leaves()) == scanned_head_and_leaves(bt, ids)
+    assert (bt.select(), bt.leaves()) == scanned_head_and_leaves(bt, ids)
     for n, pick in enumerate(parents):
         parent = ids[pick % len(ids)]
         token = bt.oracle.grant(parent, block_id(f"note n{n}", parent))
         ids.append(bt.commit(token, Note(f"n{n}")).id)
         if pick % 3:  # some commits follow one another unread
-            assert (bt.select().head, bt.leaves()) == scanned_head_and_leaves(bt, ids)
-    assert (bt.select().head, bt.leaves()) == scanned_head_and_leaves(bt, ids)
+            assert (bt.select(), bt.leaves()) == scanned_head_and_leaves(bt, ids)
+    assert (bt.select(), bt.leaves()) == scanned_head_and_leaves(bt, ids)
     assert bt.leaves() is bt.leaves()
 
 
@@ -274,8 +256,8 @@ def test_randomized_interleavings_small():
         for _ in range(rng.randrange(4, 14)):
             move = rng.random()
             if move < 0.5 or not pending:
-                head = bt.select().head
-                t = bt.get_token(head, Note(f"n{serial}"), ok)
+                head = bt.select()
+                t = bt.get_token(head, Note(f"n{serial}"))
                 pending.append((t, Note(f"n{serial}")))
                 serial += 1
             else:

@@ -330,8 +330,8 @@ def test_siblings_fold_their_head_once_and_checks_fold_nothing(monkeypatch):
         oracle=OracleConfig.prodigal(),
         consistency_checks=True,
     )
-    for round_, names in enumerate((["a", "b", "c"], ["d", "e"])):
-        head = eng.tree.select().head
+    for names in (["a", "b", "c"], ["d", "e"]):
+        head = eng.tree.select()
         folded.clear()
         pending = [eng.validate_action(n) for n in names]
         # K sibling validations against one head fold it once
@@ -339,9 +339,8 @@ def test_siblings_fold_their_head_once_and_checks_fold_nothing(monkeypatch):
         folded.clear()
         for p in pending:
             assert eng.commit_action(p) is not None
-        # a leaf whose parent has passed its check is checked with no fold;
-        # the first round's parent, genesis, was never checked
-        assert len(folded) == (len(names) if round_ == 0 else 0)
+        # no check folds a chain, not even under genesis, which was never checked
+        assert folded == []
 
 
 CONTRADICTED = """
@@ -415,7 +414,7 @@ def test_split_phase_race_loser_revalidates():
     assert eng.attempt("b")
     assert eng.records["b"].stage == PUBLISHED
     assert len(eng.tree) == 3
-    chain = eng.tree.chain_to(eng.tree.select().head)
+    chain = eng.tree.chain_to(eng.tree.select())
     assert [eng.tree.block(b).payload.describe() for b in chain][1:] == [
         "tx a: W -(10)-> A",
         "tx b: W -(10)-> B",
@@ -430,6 +429,15 @@ def test_replaying_a_finished_commit_is_a_noop():
     assert eng.commit_action(pa) is None
     assert eng.records["a"].stage == PUBLISHED
     assert len(eng.events) == before  # no rejection recorded
+
+
+def test_a_rejected_validation_grants_no_token():
+    # the engine validates first and asks for a token only on a pass
+    eng = Engine(parse_scenario(RACE + "issue c = tx W -(99)[true]-> A\n", name="race"))
+    first = eng.validate_action("a")
+    assert eng.validate_action("c") is None  # W holds 50
+    assert eng.records["c"].stage == REJECTED
+    assert eng.validate_action("b").token.token_id == first.token.token_id + 1
 
 
 def test_burned_token_rejects_then_recovers():
@@ -663,7 +671,7 @@ class NaiveEngine(Engine):
         last_attempt: dict[str, int] = {}
         while True:
             state = plurality.validator.compute_state(
-                self.tree, self.tree.select().head, self.scenario.facts
+                self.tree, self.tree.select(), self.scenario.facts
             )
             ready = []
             for a in self.contract.actions:
@@ -737,12 +745,12 @@ def test_scheduler_drops_a_dependency_the_new_head_lacks(seed):
             post = ClaimPayload(label, Claim("Om", parse_formula("p", eng.scenario)))
             token = eng.tree.oracle.grant(tip, block_id(post.canonical(), tip))
             tip = eng.tree.commit(token, post).id
-        assert eng.tree.select().head == tip
+        assert eng.tree.select() == tip
         moved_at.append(len(eng.events))
         eng._fire_eligible()
 
     eng, _ = both_schedulers(FORKED_DEPENDENCY, drive, oracle=OracleConfig.prodigal(), seed=seed)
-    head = eng.tree.select().head
+    head = eng.tree.select()
     names = plurality.validator.compute_state(eng.tree, head).published
     assert names == ("b", "k1", "k2", "z")
     # v waits on a, which the new head lacks: it is not retried there
@@ -884,13 +892,15 @@ class CountingRecords(dict):
 @pytest.mark.parametrize("cls", [Engine, NaiveEngine])
 def test_scheduler_examines_linearly_many_actions_on_a_chain(cls):
     n = 100
-    eng = cls(parse_scenario(chain_source(n), name="chain"))
-    eng.records = counted = CountingRecords(eng.records)
-    eng.run()
-    assert all(r.stage == PUBLISHED for r in eng.records.values())
-    if cls is Engine:
-        # per action: woken, fired and committed, then seen once more as
-        # published; commits read the record too
-        assert counted.reads <= 4 * n
-    else:
-        assert counted.reads > n * n  # the walk reads every record on every pass
+    for horizon in (0, 50, 100):
+        eng = cls(parse_scenario(chain_source(n) + f"horizon {horizon}\n", name="chain"))
+        eng.records = counted = CountingRecords(eng.records)
+        eng.run()
+        assert all(r.stage == PUBLISHED for r in eng.records.values())
+        if cls is Engine:
+            # per action: woken, fired and committed, then seen once more as
+            # published; commits read the record too.  A published action
+            # waits no more, so the idle ticks after the chain wake nothing
+            assert counted.reads <= 4 * n
+        else:
+            assert counted.reads > n * n  # the walk reads every record on every pass

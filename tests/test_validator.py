@@ -52,19 +52,21 @@ def bank():
     return parse_scenario(BANK, name="bank")
 
 
-def permissive(payload, head) -> bool:
-    return True
-
-
-def head(bt):
-    return bt.block(bt.select().head)
+def append(bt, v: Validator, payload, tick: int = 0):
+    """Validate on the selected head and, on a pass, take a token there
+    and commit, as ``Engine`` does: the validation result."""
+    head = bt.select()
+    r = v.validate(payload, head, tick)
+    if r.ok:
+        bt.commit(bt.get_token(head, payload), payload, tick=tick)
+    return r
 
 
 def seeded_tree(scenario, *blocks, oracle=OracleConfig.prodigal()):
     """A tree holding the given payloads in one chain, no validation."""
     bt = BlockTree(GenesisPayload.for_contract(scenario.contract), oracle)
     for i, p in enumerate(blocks):
-        put(bt, p, permissive, tick=i + 1)
+        put(bt, p, tick=i + 1)
     return bt
 
 
@@ -121,7 +123,7 @@ def test_compute_state_folds_balances_and_bookkeeping():
     x = TransactionPayload(s.contract.action("x"))
     y = TransactionPayload(s.contract.action("y"))
     bt = seeded_tree(s, x, y)
-    st = compute_state(bt, bt.select().head)
+    st = compute_state(bt, bt.select())
     # independent fold of the same two transfers
     expect = {"A": 0, "B": 0, "W": 50}
     for tx in (x.action.transaction, y.action.transaction):
@@ -139,9 +141,9 @@ def test_compute_state_collects_claims_in_block_order():
     lic = TransactionPayload(s.contract.action("lic"))
     x = TransactionPayload(s.contract.action("x"))
     bt = seeded_tree(s, lic, x)
-    st = compute_state(bt, bt.select().head)
+    st = compute_state(bt, bt.select())
     assert [c.authority for c in st.claims] == ["W", "Omega_X", "W"]
-    chain = bt.chain_to(bt.select().head)
+    chain = bt.chain_to(bt.select())
     # claim origins are the block ids that introduced them
     assert st.claims[0].origin == chain[1]
     assert st.claims[1].origin == chain[1]
@@ -153,12 +155,12 @@ def test_compute_state_claim_payload_and_facts():
     body = parse_formula("license(A)", s)
     post = ClaimPayload("lbl", Claim("Omega_X", body))
     bt = seeded_tree(s, post)
-    st = compute_state(bt, bt.select().head, facts=(("license", ("B",)),))
+    st = compute_state(bt, bt.select(), facts=(("license", ("B",)),))
     assert st.published == ("lbl",)
     assert ("published", ("lbl",)) in st.asserted
     assert ("license", ("B",)) in st.asserted
     assert len(st.claims) == 1
-    assert st.claims[0].origin == bt.select().head
+    assert st.claims[0].origin == bt.select()
     # the claim body itself is never asserted closed-world
     assert ("license", ("A",)) not in st.asserted
 
@@ -177,7 +179,7 @@ def test_compute_state_random_folds_match_reference():
             expect[snk] += q
         s = parse_scenario("\n".join(lines) + "\n", name="t")
         bt = seeded_tree(s, *[TransactionPayload(a) for a in s.contract.actions])
-        st = compute_state(bt, bt.select().head)
+        st = compute_state(bt, bt.select())
         assert st.balances == expect
         assert sum(st.balances.values()) == 300  # conservation
 
@@ -267,7 +269,7 @@ def test_states_of_random_prodigal_trees_match_a_fold_from_genesis(data):
         assert doc == {
             "head": leaf,
             "length": len(bt.chain_to(leaf)),
-            "selected": leaf == bt.select().head,
+            "selected": leaf == bt.select(),
             "balances": dict(state.balances),
             "clock": state.clock,
             "published": list(state.published),
@@ -286,14 +288,14 @@ def state_with(published=(), balances=None) -> ChainState:
 def test_check_append_duplicate_binding():
     a = bank().contract.action("x")
     r = check_append(a, state_with(published=("x",), balances={"W": 50}))
-    assert not r.ok and r.code == "DuplicateBinding"
+    assert not r.ok and r.reason == "AppendConditions"
+    assert r.detail == "DuplicateBinding: binding 'x' is already published"
 
 
 def test_check_append_unmet_dependency():
     a = bank().contract.action("y")
     r = check_append(a, state_with(balances={"W": 50}))
-    assert not r.ok and r.code == "UnmetDependency"
-    assert "'x'" in r.detail
+    assert not r.ok and r.detail == "UnmetDependency: dependency 'x' is not yet published"
     r2 = check_append(a, state_with(published=("x",), balances={"W": 50}))
     assert r2.ok
 
@@ -301,7 +303,7 @@ def test_check_append_unmet_dependency():
 def test_check_append_insufficient_balance():
     a = bank().contract.action("x")
     r = check_append(a, state_with(balances={"W": 9}))
-    assert not r.ok and r.code == "InsufficientBalance"
+    assert not r.ok and r.detail == "InsufficientBalance: W holds 9, needs 10"
     assert check_append(a, state_with(balances={"W": 10})).ok
 
 
@@ -313,16 +315,16 @@ def test_non_positive_amount_built_in_code_is_rejected(amount):
     x = s.contract.action("x")
     bad = replace(x, transaction=replace(x.transaction, amount=amount))
     bt = BlockTree(GenesisPayload.for_contract(s.contract), OracleConfig.prodigal())
-    r = Validator(s, bt).validate(TransactionPayload(bad), head(bt))
+    r = Validator(s, bt).validate(TransactionPayload(bad), bt.select(), 0)
     assert not r.ok and r.reason == "AppendConditions"
-    assert "NonPositiveAmount" in r.detail
+    assert r.detail == f"NonPositiveAmount: amount {amount} is not positive"
 
 
 def test_check_append_order():
     a = bank().contract.action("x")
     # duplicate binding outranks the balance shortfall
     r = check_append(a, state_with(published=("x",), balances={"W": 0}))
-    assert r.code == "DuplicateBinding"
+    assert r.detail.startswith("DuplicateBinding: ")
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +335,8 @@ def run_validate(source: str, *, pre=(), tick=0):
     """Validate the last declared action against a chain of ``pre`` payloads."""
     s = parse_scenario(source, name="t")
     bt = seeded_tree(s, *pre)
-    v = Validator(s, bt, tick=tick)
     target = s.contract.actions[-1]
-    v(TransactionPayload(target), head(bt))
-    return v.last_result, bt, s
+    return Validator(s, bt).validate(TransactionPayload(target), bt.select(), tick), bt, s
 
 
 def test_closed_guard_balance_true_and_false():
@@ -399,14 +399,12 @@ def test_claimed_guard_refuted_by_stored_claim():
     )
     denial = ClaimPayload("deny", Claim("Omega_Y", parse_formula("!license(A)", s)))
     bt = seeded_tree(s, denial)
-    v = Validator(s, bt)
-    assert not v(TransactionPayload(s.contract.action("lic")), head(bt))
-    r = v.last_result
-    assert r.reason == "Discord"
+    r = Validator(s, bt).validate(TransactionPayload(s.contract.action("lic")), bt.select(), 0)
+    assert not r.ok and r.reason == "Discord"
     cert = r.certificate
     assert cert.candidate.authority == "Omega_X"
     assert [c.authority for c in cert.conflict] == ["Omega_Y"]
-    assert cert.conflict[0].origin == bt.select().head
+    assert cert.conflict[0].origin == bt.select()
     assert "Omega_Y" in r.detail
 
 
@@ -433,21 +431,19 @@ def test_claim_payload_discord_names_both_authorities():
     )
     good = ClaimPayload("g", Claim("Omega_IoT", parse_formula("state(cadillac, good)", s)))
     bt = seeded_tree(s, good)
-    v = Validator(s, bt)
     bad = ClaimPayload("b", Claim("Alice", parse_formula("state(cadillac, bad)", s)))
-    assert not v(bad, head(bt))
-    cert = v.last_result.certificate
+    r = Validator(s, bt).validate(bad, bt.select(), 0)
+    assert not r.ok
+    cert = r.certificate
     assert cert.authorities == ("Alice", "Omega_IoT")
 
 
 def test_proof_of_discord_modes():
     s = parse_scenario("oracle Om\natom p\n", name="t")
     d = s.contract.defs
-    ok, cert = proof_of_discord((), (), Claim("Om", parse_formula("p", s)), d)
-    assert ok and cert is None
+    assert proof_of_discord((), (), Claim("Om", parse_formula("p", s)), d) is None
     stored = Claim("Om", parse_formula("!p", s), origin="b0")
-    ok, cert = proof_of_discord((stored,), (), Claim("Om", parse_formula("p", s)), d)
-    assert not ok
+    cert = proof_of_discord((stored,), (), Claim("Om", parse_formula("p", s)), d)
     assert cert.conflict == (stored,)
 
 
@@ -459,26 +455,28 @@ def test_validator_drives_tree_appends():
     s = bank()
     bt = BlockTree(GenesisPayload.for_contract(s.contract), OracleConfig.frugal(2))
     v = Validator(s, bt)
-    put(bt, TransactionPayload(s.contract.action("x")), v)
-    put(bt, TransactionPayload(s.contract.action("y")), v)
-    st = compute_state(bt, bt.select().head)
+    assert append(bt, v, TransactionPayload(s.contract.action("x"))).ok
+    assert append(bt, v, TransactionPayload(s.contract.action("y"))).ok
+    st = compute_state(bt, bt.select())
     assert st.balances == {"W": 20, "A": 10, "B": 20}
     assert st.published == ("x", "y")
     # replaying a published binding is a structural rejection
-    assert put(bt, TransactionPayload(s.contract.action("x")), v) is None
-    assert v.last_result.reason == "AppendConditions"
-    assert "DuplicateBinding" in v.last_result.detail
+    r = append(bt, v, TransactionPayload(s.contract.action("x")))
+    assert r.reason == "AppendConditions"
+    assert r.detail.startswith("DuplicateBinding: ")
+    assert len(bt) == 3
 
 
 def test_dependency_rejected_until_parent_lands():
     s = bank()
     bt = BlockTree(GenesisPayload.for_contract(s.contract), OracleConfig.frugal(2))
     v = Validator(s, bt)
-    assert put(bt, TransactionPayload(s.contract.action("y")), v) is None
-    assert "UnmetDependency" in v.last_result.detail
-    put(bt, TransactionPayload(s.contract.action("x")), v)
-    put(bt, TransactionPayload(s.contract.action("y")), v)
-    assert compute_state(bt, bt.select().head).published == ("x", "y")
+    r = append(bt, v, TransactionPayload(s.contract.action("y")))
+    assert not r.ok and r.detail.startswith("UnmetDependency: ")
+    assert len(bt) == 1
+    assert append(bt, v, TransactionPayload(s.contract.action("x"))).ok
+    assert append(bt, v, TransactionPayload(s.contract.action("y"))).ok
+    assert compute_state(bt, bt.select()).published == ("x", "y")
 
 
 def test_chain_local_stores_keep_forks_independent():
@@ -488,7 +486,7 @@ def test_chain_local_stores_keep_forks_independent():
     yes = ClaimPayload("yes", Claim("Om", parse_formula("p", s)))
     no = ClaimPayload("no", Claim("Om", parse_formula("!p", s)))
     g = bt.genesis.id
-    ta = bt.get_token(g, yes, permissive)
+    ta = bt.get_token(g, yes)
     bt.commit(ta, yes)
     tb = bt.oracle.grant(g, block_id(no.canonical(), g))
     bt.commit(tb, no)
@@ -511,41 +509,6 @@ atom s
 atom t
 constraint !(q & r)
 """
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_checking_what_a_leaf_adds_agrees_with_a_full_store_check(data):
-    # claims attached anywhere, unvalidated, so stores of every kind occur;
-    # some contradictions need a chain of claims or the constraint
-    s = parse_scenario(LINKED, name="linked")
-    d = s.contract.defs
-    texts = ("p", "!p", "q", "r", "s", "!s | q", "p | r", "t", "!t & s", "true")
-    payloads = [
-        ClaimPayload(f"c{i}", Claim("Om", parse_formula(text, s)))
-        for i, text in enumerate(texts)
-    ]
-    bt = BlockTree(GenesisPayload.for_contract(s.contract), OracleConfig.prodigal())
-    ids = [bt.genesis.id]
-    steps = st.tuples(st.integers(0, 10**6), st.sampled_from(range(len(payloads))))
-    for parent, which in data.draw(st.lists(steps, min_size=1, max_size=25)):
-        parent = ids[parent % len(ids)]
-        if block_id(payloads[which].canonical(), parent) not in bt:
-            ids.append(attach(bt, parent, payloads[which], 0))
-
-    def full(bid):
-        return store_consistent(compute_state(bt, bid).claims, d.constraints, d)
-
-    for leaf in ids[1:]:
-        # the chain to ``leaf`` alone, with its parent verified when it is
-        # consistent, so that only ``leaf`` is checked, and by what it adds
-        chain = BlockTree(GenesisPayload.for_contract(s.contract), OracleConfig.prodigal())
-        for bid in bt.chain_to(leaf)[1:]:
-            attach(chain, bt.block(bid).parent, bt.block(bid).payload, 0)
-        parent = bt.block(leaf).parent
-        verified = {parent} if full(parent) else set()
-        assert chain_claims_consistent(chain, s, verified) == full(leaf)
-        assert (leaf in verified) == full(leaf)
 
 
 def connected_claims_oracle(claims, leaf: str, defs) -> list[Claim]:
@@ -597,11 +560,9 @@ def linked_payloads(s) -> dict[str, object]:
     return out
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_the_component_of_what_a_block_adds_matches_a_search_of_the_folded_store(data):
-    s = parse_scenario(LINKED_TX, name="linked")
-    d = s.contract.defs
+def linked_tree(data, s):
+    """A prodigal tree of ``linked_payloads`` attached anywhere, unvalidated,
+    so that stores of every kind occur: the tree and its block ids."""
     payloads = list(linked_payloads(s).values())
     bt = BlockTree(GenesisPayload.for_contract(s.contract), OracleConfig.prodigal())
     ids = [bt.genesis.id]
@@ -610,9 +571,45 @@ def test_the_component_of_what_a_block_adds_matches_a_search_of_the_folded_store
         parent = ids[parent % len(ids)]
         if block_id(payloads[which].canonical(), parent) not in bt:
             ids.append(attach(bt, parent, payloads[which], 0))
+    return bt, ids
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_component_of_what_a_block_adds_matches_a_search_of_the_folded_store(data):
+    s = parse_scenario(LINKED_TX, name="linked")
+    d = s.contract.defs
+    bt, ids = linked_tree(data, s)
     for bid in data.draw(st.permutations(ids[1:])):
         want = connected_claims_oracle(compute_state(bt, bid).claims, bid, d)
-        assert _component_of_new_claims(bt, bid, d) == want
+        assert _component_of_new_claims(bt, bid, d, {bt.block(bid).parent}) == want
+
+
+def must_not_fold(tree, head, facts=()):
+    raise AssertionError("a consistency check folded a chain")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_checking_what_a_leaf_adds_agrees_with_a_full_store_check(data):
+    # verified sets are drawn from the blocks whose stores are consistent;
+    # a fold of each leaf's store is the oracle, and no check may fold
+    s = parse_scenario(LINKED_TX, name="linked")
+    d = s.contract.defs
+    bt, ids = linked_tree(data, s)
+    full = {bid: store_consistent(compute_state(bt, bid).claims, d.constraints, d) for bid in ids}
+    verified = set(data.draw(st.lists(st.sampled_from([b for b in ids if full[b]]), unique=True)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plurality.validator, "compute_state", must_not_fold)
+        assert chain_claims_consistent(bt, s, set(verified)) == all(map(full.get, bt.leaves()))
+        for leaf in ids[1:]:
+            # the chain to ``leaf`` alone, so that ``leaf`` is its one leaf
+            chain = BlockTree(GenesisPayload.for_contract(s.contract), OracleConfig.prodigal())
+            for bid in bt.chain_to(leaf)[1:]:
+                attach(chain, bt.block(bid).parent, bt.block(bid).payload, 0)
+            checked = set(verified)
+            assert chain_claims_consistent(chain, s, checked) == full[leaf]
+            assert (leaf in checked) == full[leaf]
 
 
 @pytest.mark.parametrize(
@@ -642,22 +639,13 @@ def test_a_leaf_check_selects_and_decides_as_a_full_fold_does(monkeypatch, chain
     parent = bt.block(leaf).parent
     claims = compute_state(bt, leaf).claims
     want = connected_claims_oracle(claims, leaf, d)
-    assert _component_of_new_claims(bt, leaf, d) == want
+    assert _component_of_new_claims(bt, leaf, d, {parent}) == want
     full = store_consistent(claims, d.constraints, d)
     parent_ok = store_consistent(compute_state(bt, parent).claims, d.constraints, d)
-
-    folded = []
-    real = plurality.validator.compute_state
-
-    def counting(tree, head, facts=()):
-        folded.append(head)
-        return real(tree, head, facts)
-
-    monkeypatch.setattr(plurality.validator, "compute_state", counting)
+    # no check folds a chain, whether or not the parent has passed
+    monkeypatch.setattr(plurality.validator, "compute_state", must_not_fold)
     verified = {parent} if parent_ok else set()
     assert chain_claims_consistent(bt, s, verified) == full
-    # a leaf whose parent has passed is checked without folding its chain
-    assert folded == ([] if parent_ok else [leaf])
 
 
 def test_chain_claims_consistent_flags_forced_discord():
@@ -691,9 +679,8 @@ def test_a_validator_reused_across_targets_answers_as_a_fresh_one(data):
             if block_id(payload.canonical(), target) not in bt:
                 ids.append(attach(bt, target, payload, tick))
             continue
-        v.tick = tick
-        got = v.validate(payload, bt.block(target))
-        assert got == Validator(s, bt, tick=tick).validate(payload, bt.block(target))
+        got = v.validate(payload, target, tick)
+        assert got == Validator(s, bt).validate(payload, target, tick)
 
 
 def test_validated_appends_never_break_store_consistency():
@@ -710,11 +697,8 @@ def test_validated_appends_never_break_store_consistency():
             name = rng.choice(atoms)
             body = parse_formula(name if rng.random() < 0.5 else f"!{name}", s)
             p = ClaimPayload(f"c{i}", Claim(rng.choice(["Om", "Ox"]), body))
-            head = bt.select().head
-            tok = bt.get_token(head, p, v)
-            if tok is not None:
-                bt.commit(tok, p)
+            append(bt, v, p)
         assert chain_claims_consistent(bt, s)
         # and the refuter agrees with itself on the surviving store
-        st = compute_state(bt, bt.select().head)
+        st = compute_state(bt, bt.select())
         assert refute(st.claims, d.constraints, Claim("Om", parse_formula("true", s)), d) is None

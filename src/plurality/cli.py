@@ -38,7 +38,7 @@ from .certificates import (
     check_minimality,
     replay_refutation,
 )
-from .logic import claim_text
+from .logic import LogicError, claim_text
 from .runtime import TRACE_FORMAT, ConsistencyError, Engine, trace_human, trace_text
 from .syntax import ParseError, parse_formula, parse_scenario
 
@@ -237,14 +237,15 @@ def cmd_check_certificate(args) -> int:
     constraints = defs.constraints
     try:
         replay_refutation(cert, constraints, defs)
+        check_minimality(cert, constraints, defs)
     except ReplayFailed as e:
         print(f"replay failed: {e}")
         return EXIT_DISCORD
-    try:
-        check_minimality(cert, constraints, defs)
     except NotMinimal as e:
         print(f"conflict set is not minimal: {e}")
         return EXIT_NOT_MINIMAL
+    except LogicError as e:  # a body that parses but cannot be ground-expanded
+        return _err(f"malformed certificate: {e}")
     print(f"certificate verified: {claim_text(cert.candidate)}")
     print(f"conflicts with {len(cert.conflict)} stored claim(s)")
     print(f"accountable: {', '.join(cert.authorities)}")

@@ -6,13 +6,15 @@ expand over finite member lists, predicate definitions are stratified
 and non-recursive, and refutation reduces to propositional reasoning
 over a bounded universe of ground atoms.
 
-Two evaluation regimes coexist on purpose.  Closed guards are evaluated
-against a concrete chain state with closed-world negation (an atom not
-asserted is false).  Claims endorsed by an authority are instead tested
-for *discord*: a claim is accepted unless the current claim store
-refutes it, and no closed-world assumption is applied inside that
-refutation.  The refutation engine emits a step-by-step resolution
-trace so a conflict can be re-checked without trusting the search.
+There is one ground expansion and two readings of the residual atoms
+it leaves.  Closed guards read them against a concrete chain state with
+closed-world negation (an atom not asserted is false).  Claims endorsed
+by an authority are instead tested for *discord*: a claim is accepted
+unless the current claim store refutes it, and no closed-world
+assumption is applied inside that refutation, where each residual atom
+is a propositional variable.  The refutation engine emits a
+step-by-step resolution trace so a conflict can be re-checked without
+trusting the search.
 """
 
 from __future__ import annotations
@@ -375,111 +377,71 @@ def _arith(name: str, a: Value, b: Value) -> int:
     return a * b
 
 
-# ---------------------------------------------------------------------------
-# Closed-world evaluation against a model
-
-
-def evaluate(f: Formula, m: Model, defs: DefinitionSet) -> bool:
-    """Truth of ``f`` in model ``m`` under closed-world negation."""
-    return _eval(f, m, defs, {}, ())
-
-
-def _eval(f, m, defs, env, stack) -> bool:
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, FalseF):
-        return False
-    if isinstance(f, Atom):
-        name = f.name
-        if name == "hashlock":
-            _check_arity(name, f.args, 2)
-            a, b = (_eval_term(t, m, defs, env, stack) for t in f.args)
-            return _hashlock(a, b)
-        if name == "before":
-            _check_arity(name, f.args, 1)
-            t = _eval_term(f.args[0], m, defs, env, stack)
-            if not isinstance(t, int):
-                raise TypeMismatch("before expects an integer tick")
-            return m.clock <= t
-        if name in defs.predicates:
-            if name in stack:
-                raise StratificationViolation(f"predicate {name!r} depends on itself")
-            pd = defs.predicates[name]
-            _check_arity(name, f.args, len(pd.params))
-            inner = {
-                p: _wrap(_eval_term(a, m, defs, env, stack))
-                for p, a in zip(pd.params, f.args)
-            }
-            return _eval(pd.body, m, defs, inner, stack + (name,))
-        arity = defs.atom_arity(name)
-        if arity is None:
-            raise UnknownSymbol(f"atom {name!r} is not declared")
-        _check_arity(name, f.args, arity)
-        key = (name, tuple(_eval_term(a, m, defs, env, stack) for a in f.args))
-        return key in m.asserted
-    if isinstance(f, Cmp):
-        a = _eval_term(f.lhs, m, defs, env, stack)
-        b = _eval_term(f.rhs, m, defs, env, stack)
-        return _decide_cmp(f.op, a, b)
-    if isinstance(f, Not):
-        return not _eval(f.sub, m, defs, env, stack)
-    if isinstance(f, And):
-        return _eval(f.lhs, m, defs, env, stack) and _eval(f.rhs, m, defs, env, stack)
-    if isinstance(f, Or):
-        return _eval(f.lhs, m, defs, env, stack) or _eval(f.rhs, m, defs, env, stack)
-    if isinstance(f, Implies):
-        return (not _eval(f.lhs, m, defs, env, stack)) or _eval(f.rhs, m, defs, env, stack)
-    if isinstance(f, ForAll):
-        members = defs.domain_members(f.domain)
-        return all(_eval(f.body, m, defs, {**env, f.var: _wrap(v)}, stack) for v in members)
-    if isinstance(f, Exists):
-        members = defs.domain_members(f.domain)
-        return any(_eval(f.body, m, defs, {**env, f.var: _wrap(v)}, stack) for v in members)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def _check_arity(name, args, arity):
     if len(args) != arity:
         raise TypeMismatch(f"{name} expects {arity} argument(s), got {len(args)}")
 
 
-def _eval_term(t, m, defs, env, stack) -> Value:
-    if isinstance(t, (Constant, IntLit)):
-        return t.value
-    if isinstance(t, AgentRef):
-        return t.agent
+# ---------------------------------------------------------------------------
+# Closed-world evaluation against a model
+
+
+def evaluate(f: Formula, m: Model, defs: DefinitionSet) -> bool:
+    """Truth of ``f`` in model ``m`` under closed-world negation.
+
+    ``f`` is ground-expanded first, so a grounding error anywhere in it
+    raises, even in a branch the model would never reach; the residual
+    atoms are then read from ``m``.
+    """
+    return _holds(ground_expand(f, defs), m, defs)
+
+
+def _holds(f, m, defs) -> bool:
+    """Truth of a residual formula in ``m``; an open atom holds iff asserted."""
+    if isinstance(f, TrueF):
+        return True
+    if isinstance(f, FalseF):
+        return False
+    if isinstance(f, Not):
+        return not _holds(f.sub, m, defs)
+    if isinstance(f, And):
+        return _holds(f.lhs, m, defs) and _holds(f.rhs, m, defs)
+    if isinstance(f, Or):
+        return _holds(f.lhs, m, defs) or _holds(f.rhs, m, defs)
+    if isinstance(f, Implies):
+        return (not _holds(f.lhs, m, defs)) or _holds(f.rhs, m, defs)
+    if isinstance(f, Cmp):
+        return _decide_cmp(f.op, _model_value(f.lhs, m, defs), _model_value(f.rhs, m, defs))
+    vals = tuple(_model_value(a, m, defs) for a in f.args)
+    if f.name == "hashlock":
+        return _hashlock(*vals)
+    if f.name == "before":
+        if not isinstance(vals[0], int):
+            raise TypeMismatch("before expects an integer tick")
+        return m.clock <= vals[0]
+    return (f.name, vals) in m.asserted
+
+
+def _model_value(t, m, defs) -> Value:
+    """Value in ``m`` of a residual term: balances, arithmetic and tables over them."""
+    v = _value_of(t)
+    if v is not None:
+        return v
     if isinstance(t, BalanceOf):
         try:
             return m.balances[t.wallet]
         except KeyError:
             raise UnknownSymbol(f"no wallet {t.wallet!r} in model") from None
-    if isinstance(t, Var):
-        if t.name not in env:
-            raise NonGround(f"free variable {t.name!r}")
-        return _eval_term(env[t.name], m, defs, env, stack)
-    if isinstance(t, FnApp):
-        name = t.name
-        if name in BUILTIN_FUNCTIONS:
-            _check_arity(name, t.args, 2)
-            a, b = (_eval_term(x, m, defs, env, stack) for x in t.args)
-            return _arith(name, a, b)
-        fd = defs.functions.get(name)
-        if fd is None:
-            raise UnknownSymbol(f"function {name!r} is not declared")
-        _check_arity(name, t.args, fd.arity)
-        vals = tuple(_eval_term(x, m, defs, env, stack) for x in t.args)
-        if fd.kind == "table":
-            try:
-                return fd.table[vals]
-            except KeyError:
-                raise UnknownSymbol(f"{name}{vals!r} has no table entry") from None
-        if fd.kind == "parametric":
-            if name in stack:
-                raise StratificationViolation(f"function {name!r} depends on itself")
-            inner = {p: _wrap(v) for p, v in zip(fd.params, vals)}
-            return _eval_term(fd.body, m, defs, inner, stack + (name,))
-        raise UnknownSymbol(f"function {name!r} has no interpretation here")
-    raise TypeError(f"not a term: {t!r}")
+    vals = tuple(_model_value(a, m, defs) for a in t.args)
+    if t.name in BUILTIN_FUNCTIONS:
+        return _arith(t.name, *vals)
+    table = defs.functions[t.name].table
+    if not table:
+        raise UnknownSymbol(f"function {t.name!r} has no interpretation here")
+    try:
+        return table[vals]
+    except KeyError:
+        raise UnknownSymbol(f"{t.name}{vals!r} has no table entry") from None
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +454,9 @@ def ground_expand(f: Formula, defs: DefinitionSet) -> Formula:
     Finite quantifiers become conjunction/disjunction chains, defined
     predicates and parametric functions are unfolded, rigid subterms
     are folded to values.  What remains are boolean connectives over
-    *residual* atoms: open atoms, comparisons that mention balances or
-    uninterpreted functions and ``before``-atoms.
+    *residual* atoms: open atoms, ``before``-atoms, ``hashlock``-atoms
+    with an argument that is not a value, and comparisons that mention
+    balances or uninterpreted functions.
     """
     return _expand(f, defs, {}, ())
 
@@ -805,6 +768,12 @@ def _formula_clauses(f: Formula, defs: DefinitionSet, budget: int):
 # Refutation with replayable traces
 
 
+# Refutation limits: ground atoms in one assembled problem, and clauses
+# from one formula's CNF or live during elimination.
+MAX_ATOMS = 512
+MAX_CLAUSES = 100_000
+
+
 @dataclass(frozen=True)
 class ProofStep:
     """One line of a ground resolution trace.
@@ -845,8 +814,8 @@ def refute(
     candidate: Claim,
     defs: DefinitionSet,
     *,
-    max_atoms: int = 512,
-    max_clauses: int = 100_000,
+    max_atoms: int = MAX_ATOMS,
+    max_clauses: int = MAX_CLAUSES,
 ) -> Refutation | None:
     """Try to refute ``candidate`` from the claim store and constraints.
 

@@ -165,12 +165,6 @@ class Contract:
     def wallets(self) -> tuple[Agent, ...]:
         return tuple(a for a in self.agents if a.kind == "wallet")
 
-    def action(self, binding: str) -> Action | None:
-        for a in self.actions:
-            if a.binding == binding:
-                return a
-        return None
-
 
 @dataclass(frozen=True)
 class ClaimEvent:

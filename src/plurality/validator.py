@@ -29,6 +29,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .logic import (
+    MAX_CLAUSES,
     AgentRef,
     Atom,
     Claim,
@@ -304,17 +305,13 @@ def chain_claims_consistent(tree, scenario: Scenario, verified: set[str] | None 
     return True
 
 
-# refute's default clause budget, so that the clause cache is shared with it
-_MAX_CLAUSES = 100_000
-
-
 def _block_claims(block, defs) -> tuple[tuple[Claim, list[str]], ...]:
     """The claims ``block`` adds, each with its ground atom keys."""
     got = defs._block_claims.get(block.id)
     if got is None:
         claims: list[Claim] = []
         fold_block(block, {}, [], claims, set())
-        got = tuple((c, _formula_clauses(c.body, defs, _MAX_CLAUSES)[0]) for c in claims)
+        got = tuple((c, _formula_clauses(c.body, defs, MAX_CLAUSES)[0]) for c in claims)
         defs._block_claims[block.id] = got
     return got
 
@@ -333,7 +330,7 @@ def _component_of_new_claims(tree, leaf: str, defs, verified) -> list[Claim]:
     old = [r for bid in chain[:start] for r in _block_claims(tree.block(bid), defs)]
     records = old + [r for bid in chain[start:] for r in _block_claims(tree.block(bid), defs)]
     if defs._constraint_atoms is None:  # set only once every constraint has its clauses
-        compiled = [_formula_clauses(g, defs, _MAX_CLAUSES) for g in defs.constraints]
+        compiled = [_formula_clauses(g, defs, MAX_CLAUSES) for g in defs.constraints]
         defs._constraint_atoms = [
             [names[abs(lit) - 1] for lit in cl] for names, clauses in compiled for cl in clauses
         ]

@@ -375,6 +375,28 @@ def test_check_certificate_reports_a_certificate_that_is_not_utf8(tmp_path, caps
     assert err.startswith("plurality: cannot read certificate: ")
 
 
+@pytest.mark.parametrize(
+    "body,error",
+    [
+        ("hashlock(1, 2)", "hashlock expects a hex digest and a string preimage"),
+        ('("a" < 3)', "ordering needs integers, got 'a' < 3"),
+        ("(add(a, 1) = 2)", "add expects integers, got 'a', 1"),
+    ],
+)
+def test_check_certificate_reports_an_ill_typed_body(tmp_path, capsys, body, error):
+    golden = Path(__file__).resolve().parent / "golden" / "cadillac.seed-5.prodigal.cert-0.json"
+    doc = json.loads(golden.read_text())
+    doc["candidate"]["body"] = body
+    doc["refutation"]["conclusion"] = f"!{body}"
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "check-certificate", str(cert), str(SCENARIOS / "cadillac.plu")
+    )
+    assert_one_error_line(code, out, err)
+    assert err == f"plurality: malformed certificate: {error}\n"
+
+
 @pytest.mark.parametrize("command,what", [("run", "scenario"), ("explain", "trace")])
 def test_commands_report_an_input_that_is_not_utf8(tmp_path, capsys, command, what):
     bad = tmp_path / "bad"

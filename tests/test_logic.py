@@ -1,8 +1,10 @@
 """Evaluator, ground expansion and the refutation engine.
 
-The refutation tests lean on an exhaustive truth-table oracle; the
-engine must agree with it exactly, and certificates must be minimal
-against brute-force subset enumeration.
+The evaluator is checked against ``direct_evaluate``, an interpreter
+that walks the formula itself instead of its ground expansion.  The
+refutation tests lean on an exhaustive truth-table oracle; the engine
+must agree with it exactly, and certificates must be minimal against
+brute-force subset enumeration.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plurality.logic import (
+    BUILTIN_FUNCTIONS,
     FALSE,
     TRUE,
     AgentRef,
@@ -28,6 +31,7 @@ from plurality.logic import (
     Constant,
     DefinitionSet,
     Exists,
+    FalseF,
     FnApp,
     ForAll,
     FunctionDef,
@@ -41,9 +45,15 @@ from plurality.logic import (
     PredicateDef,
     ResourceLimit,
     StratificationViolation,
+    TrueF,
     TypeMismatch,
     UnknownSymbol,
     Var,
+    _arith,
+    _check_arity,
+    _decide_cmp,
+    _hashlock,
+    _wrap,
     brute_force_satisfiable,
     claim_text,
     evaluate,
@@ -69,7 +79,111 @@ def basic_defs() -> DefinitionSet:
     d.functions["grade_of"] = FunctionDef(
         "grade_of", 1, table={("A",): 12, ("B",): 9}
     )
+    d.predicates["at_least"] = PredicateDef("at_least", ("w", "k"), Cmp(">=", Var("w"), Var("k")))
     return d
+
+
+def direct_evaluate(f, m: Model, defs: DefinitionSet) -> bool:
+    """Truth of ``f`` in ``m``, read off the formula without expanding it.
+
+    The evaluator that ``evaluate`` replaced, kept as its oracle.  It
+    short-circuits, so it can answer where a branch it never reaches
+    would fail to ground; ``evaluate`` then raises.
+    """
+    return _direct(f, m, defs, {}, ())
+
+
+def _direct(f, m, defs, env, stack) -> bool:
+    if isinstance(f, TrueF):
+        return True
+    if isinstance(f, FalseF):
+        return False
+    if isinstance(f, Atom):
+        name = f.name
+        if name == "hashlock":
+            _check_arity(name, f.args, 2)
+            a, b = (_direct_term(t, m, defs, env, stack) for t in f.args)
+            return _hashlock(a, b)
+        if name == "before":
+            _check_arity(name, f.args, 1)
+            t = _direct_term(f.args[0], m, defs, env, stack)
+            if not isinstance(t, int):
+                raise TypeMismatch("before expects an integer tick")
+            return m.clock <= t
+        if name in defs.predicates:
+            if name in stack:
+                raise StratificationViolation(f"predicate {name!r} depends on itself")
+            pd = defs.predicates[name]
+            _check_arity(name, f.args, len(pd.params))
+            inner = {
+                p: _wrap(_direct_term(a, m, defs, env, stack))
+                for p, a in zip(pd.params, f.args)
+            }
+            return _direct(pd.body, m, defs, inner, stack + (name,))
+        arity = defs.atom_arity(name)
+        if arity is None:
+            raise UnknownSymbol(f"atom {name!r} is not declared")
+        _check_arity(name, f.args, arity)
+        key = (name, tuple(_direct_term(a, m, defs, env, stack) for a in f.args))
+        return key in m.asserted
+    if isinstance(f, Cmp):
+        a = _direct_term(f.lhs, m, defs, env, stack)
+        b = _direct_term(f.rhs, m, defs, env, stack)
+        return _decide_cmp(f.op, a, b)
+    if isinstance(f, Not):
+        return not _direct(f.sub, m, defs, env, stack)
+    if isinstance(f, And):
+        return _direct(f.lhs, m, defs, env, stack) and _direct(f.rhs, m, defs, env, stack)
+    if isinstance(f, Or):
+        return _direct(f.lhs, m, defs, env, stack) or _direct(f.rhs, m, defs, env, stack)
+    if isinstance(f, Implies):
+        return (not _direct(f.lhs, m, defs, env, stack)) or _direct(f.rhs, m, defs, env, stack)
+    if isinstance(f, ForAll):
+        members = defs.domain_members(f.domain)
+        return all(_direct(f.body, m, defs, {**env, f.var: _wrap(v)}, stack) for v in members)
+    if isinstance(f, Exists):
+        members = defs.domain_members(f.domain)
+        return any(_direct(f.body, m, defs, {**env, f.var: _wrap(v)}, stack) for v in members)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _direct_term(t, m, defs, env, stack):
+    if isinstance(t, (Constant, IntLit)):
+        return t.value
+    if isinstance(t, AgentRef):
+        return t.agent
+    if isinstance(t, BalanceOf):
+        try:
+            return m.balances[t.wallet]
+        except KeyError:
+            raise UnknownSymbol(f"no wallet {t.wallet!r} in model") from None
+    if isinstance(t, Var):
+        if t.name not in env:
+            raise NonGround(f"free variable {t.name!r}")
+        return _direct_term(env[t.name], m, defs, env, stack)
+    if isinstance(t, FnApp):
+        name = t.name
+        if name in BUILTIN_FUNCTIONS:
+            _check_arity(name, t.args, 2)
+            a, b = (_direct_term(x, m, defs, env, stack) for x in t.args)
+            return _arith(name, a, b)
+        fd = defs.functions.get(name)
+        if fd is None:
+            raise UnknownSymbol(f"function {name!r} is not declared")
+        _check_arity(name, t.args, fd.arity)
+        vals = tuple(_direct_term(x, m, defs, env, stack) for x in t.args)
+        if fd.kind == "table":
+            try:
+                return fd.table[vals]
+            except KeyError:
+                raise UnknownSymbol(f"{name}{vals!r} has no table entry") from None
+        if fd.kind == "parametric":
+            if name in stack:
+                raise StratificationViolation(f"function {name!r} depends on itself")
+            inner = {p: _wrap(v) for p, v in zip(fd.params, vals)}
+            return _direct_term(fd.body, m, defs, inner, stack + (name,))
+        raise UnknownSymbol(f"function {name!r} has no interpretation here")
+    raise TypeError(f"not a term: {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +347,11 @@ def random_model(rng: random.Random, d: DefinitionSet) -> Model:
 
 
 def random_closed_formula(rng: random.Random, depth: int):
+    """A guard over ``basic_defs`` that grounds and evaluates without error
+    in every ``random_model``."""
     roll = rng.random()
     if depth <= 0 or roll < 0.3:
-        pick = rng.randrange(6)
+        pick = rng.randrange(9)
         if pick == 0:
             return Atom("paid", (Constant(rng.choice(("A", "B"))),))
         if pick == 1:
@@ -250,6 +366,21 @@ def random_closed_formula(rng: random.Random, depth: int):
             return Atom("before", (IntLit(rng.randrange(0, 8)),))
         if pick == 4:
             return Cmp(">", FnApp("as_grate", (BalanceOf("S_A"),)), IntLit(10))
+        if pick == 5:
+            return Cmp(
+                rng.choice(("<", "<=", "=", ">=", ">", "!=")),
+                FnApp("add", (BalanceOf(rng.choice(("W", "S_A"))), IntLit(rng.randrange(-5, 6)))),
+                IntLit(rng.randrange(0, 30)),
+            )
+        if pick == 6:
+            return Cmp(
+                rng.choice(("<", "=", ">")),
+                FnApp("grade_of", (Constant(rng.choice(("A", "B"))),)),
+                IntLit(rng.randrange(8, 14)),
+            )
+        if pick == 7:
+            wallet = BalanceOf(rng.choice(("W", "S_A")))
+            return Atom("at_least", (wallet, IntLit(rng.randrange(0, 25))))
         return rng.choice((TRUE, FALSE))
     if roll < 0.42:
         return Not(random_closed_formula(rng, depth - 1))
@@ -271,7 +402,23 @@ def test_expansion_preserves_truth():
     for _ in range(400):
         f = random_closed_formula(rng, 4)
         m = random_model(rng, d)
-        assert evaluate(f, m, d) == evaluate(ground_expand(f, d), m, d)
+        truth = direct_evaluate(f, m, d)
+        assert evaluate(f, m, d) == truth
+        assert evaluate(ground_expand(f, d), m, d) == truth
+
+
+def test_a_branch_that_cannot_ground_fails_the_whole_guard():
+    # grade_of has no entry for Z.  The direct reading never reaches it
+    # once paid(A) holds; the expansion grounds every branch first.
+    d = basic_defs()
+    m = Model(asserted={("paid", ("A",))})
+    f = Or(
+        Atom("paid", (Constant("A"),)),
+        Cmp("=", FnApp("grade_of", (Constant("Z"),)), IntLit(1)),
+    )
+    assert direct_evaluate(f, m, d) is True
+    with pytest.raises(UnknownSymbol, match=r"^grade_of\('Z',\) has no table entry$"):
+        evaluate(f, m, d)
 
 
 def test_expansion_is_residual():

@@ -25,6 +25,7 @@ from plurality.runtime import (
 )
 from plurality.syntax import ClaimEvent, parse_formula, parse_scenario
 from plurality.validator import ClaimPayload, TransactionPayload, chain_claims_consistent
+from tests.test_syntax import action
 
 
 FAIR = """
@@ -770,7 +771,7 @@ after [x] issue y = tx A -(5)[true]-> B
 
 def test_scheduler_wakes_on_a_block_committed_to_the_tree_directly():
     def drive(eng):
-        tx = TransactionPayload(eng.contract.action("x"))
+        tx = TransactionPayload(action(eng.contract, "x"))
         g = eng.tree.genesis.id
         eng.tree.commit(eng.tree.oracle.grant(g, block_id(tx.canonical(), g)), tx)
         eng.run()

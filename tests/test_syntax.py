@@ -62,6 +62,12 @@ from plurality.syntax import (
     pretty_print,
 )
 
+
+def action(contract, binding: str) -> Action:
+    """The action ``contract`` binds to ``binding``."""
+    return next(a for a in contract.actions if a.binding == binding)
+
+
 FAIR = """
 # weekly pocket money, split fairly
 agent F balance 50
@@ -140,7 +146,7 @@ def test_empty_contract_with_declarations():
 
 def test_studious_guard_shape():
     c = parse_contract(STUDIOUS)
-    y = c.action("y")
+    y = action(c, "y")
     assert y.transaction.guard == ClosedGuard(
         Cmp(">", FnApp("as_grate", (BalanceOf("S_A"),)), IntLit(10))
     )

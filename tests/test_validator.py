@@ -34,6 +34,7 @@ from plurality.validator import (
     proof_of_discord,
 )
 from tests.test_blocktree import put
+from tests.test_syntax import action
 
 
 BANK = """
@@ -83,8 +84,8 @@ def test_genesis_payload_is_sorted_balance_sheet():
 
 def test_transaction_payload_canonical_names_the_action():
     s = bank()
-    x = s.contract.action("x")
-    y = s.contract.action("y")
+    x = action(s.contract, "x")
+    y = action(s.contract, "y")
     assert TransactionPayload(x).canonical() == "issue x = tx W -(10)[true]-> A"
     assert (
         TransactionPayload(y).canonical()
@@ -94,13 +95,13 @@ def test_transaction_payload_canonical_names_the_action():
 
 def test_transaction_payload_claims():
     s = bank()
-    plain = TransactionPayload(s.contract.action("x")).claims("b123")
+    plain = TransactionPayload(action(s.contract, "x")).claims("b123")
     assert len(plain) == 1
     assert plain[0].authority == "W"
     assert formula_text(plain[0].body) == "updates(W, 10, A)"
     assert plain[0].origin == "b123"
 
-    lic = TransactionPayload(s.contract.action("lic")).claims("b456")
+    lic = TransactionPayload(action(s.contract, "lic")).claims("b456")
     assert [c.authority for c in lic] == ["W", "Omega_X"]
     assert formula_text(lic[1].body) == "license(A)"
     assert lic[1].origin == "b456"
@@ -120,8 +121,8 @@ def test_claim_payload_canonical():
 
 def test_compute_state_folds_balances_and_bookkeeping():
     s = bank()
-    x = TransactionPayload(s.contract.action("x"))
-    y = TransactionPayload(s.contract.action("y"))
+    x = TransactionPayload(action(s.contract, "x"))
+    y = TransactionPayload(action(s.contract, "y"))
     bt = seeded_tree(s, x, y)
     st = compute_state(bt, bt.select())
     # independent fold of the same two transfers
@@ -138,8 +139,8 @@ def test_compute_state_folds_balances_and_bookkeeping():
 
 def test_compute_state_collects_claims_in_block_order():
     s = bank()
-    lic = TransactionPayload(s.contract.action("lic"))
-    x = TransactionPayload(s.contract.action("x"))
+    lic = TransactionPayload(action(s.contract, "lic"))
+    x = TransactionPayload(action(s.contract, "x"))
     bt = seeded_tree(s, lic, x)
     st = compute_state(bt, bt.select())
     assert [c.authority for c in st.claims] == ["W", "Omega_X", "W"]
@@ -286,14 +287,14 @@ def state_with(published=(), balances=None) -> ChainState:
 
 
 def test_check_append_duplicate_binding():
-    a = bank().contract.action("x")
+    a = action(bank().contract, "x")
     r = check_append(a, state_with(published=("x",), balances={"W": 50}))
     assert not r.ok and r.reason == "AppendConditions"
     assert r.detail == "DuplicateBinding: binding 'x' is already published"
 
 
 def test_check_append_unmet_dependency():
-    a = bank().contract.action("y")
+    a = action(bank().contract, "y")
     r = check_append(a, state_with(balances={"W": 50}))
     assert not r.ok and r.detail == "UnmetDependency: dependency 'x' is not yet published"
     r2 = check_append(a, state_with(published=("x",), balances={"W": 50}))
@@ -301,7 +302,7 @@ def test_check_append_unmet_dependency():
 
 
 def test_check_append_insufficient_balance():
-    a = bank().contract.action("x")
+    a = action(bank().contract, "x")
     r = check_append(a, state_with(balances={"W": 9}))
     assert not r.ok and r.detail == "InsufficientBalance: W holds 9, needs 10"
     assert check_append(a, state_with(balances={"W": 10})).ok
@@ -312,7 +313,7 @@ def test_non_positive_amount_built_in_code_is_rejected(amount):
     # the parser rejects such an amount; an Action built in code can carry one,
     # and -5 would pass the balance test and move funds from sink to source
     s = bank()
-    x = s.contract.action("x")
+    x = action(s.contract, "x")
     bad = replace(x, transaction=replace(x.transaction, amount=amount))
     bt = BlockTree(GenesisPayload.for_contract(s.contract), OracleConfig.prodigal())
     r = Validator(s, bt).validate(TransactionPayload(bad), bt.select(), 0)
@@ -321,7 +322,7 @@ def test_non_positive_amount_built_in_code_is_rejected(amount):
 
 
 def test_check_append_order():
-    a = bank().contract.action("x")
+    a = action(bank().contract, "x")
     # duplicate binding outranks the balance shortfall
     r = check_append(a, state_with(published=("x",), balances={"W": 0}))
     assert r.detail.startswith("DuplicateBinding: ")
@@ -370,6 +371,24 @@ def test_closed_guard_table_miss_rejects():
     assert "cannot be evaluated" in r.detail
 
 
+def test_a_guard_with_a_branch_that_cannot_ground_is_rejected_as_a_claim_is():
+    # paid(A) holds, but grade has no entry for Z: the guard is ground-
+    # expanded before it is read, so it cannot be evaluated, and the
+    # same body endorsed as a claim cannot be refuted either
+    src = (
+        "agent W balance 50\nagent A\noracle Omega_X\n"
+        "atom paid(who)\nfact paid(A)\nmap grade(A) = 7\n"
+        "issue x = tx W -(10)[{guard}]-> A\n"
+    )
+    body = "paid(A) | grade(Z) = 1"
+    closed, _, _ = run_validate(src.format(guard=body))
+    assert not closed.ok and closed.reason == "GuardFalse"
+    assert closed.detail == "guard cannot be evaluated: grade('Z',) has no table entry"
+    claimed, _, _ = run_validate(src.format(guard=f"claim Omega_X: {body}"))
+    assert not claimed.ok and claimed.reason == "ResourceLimit"
+    assert claimed.detail == "grade('Z',) has no table entry"
+
+
 def test_structural_rejection_reported_before_guard():
     r, _, _ = run_validate(
         "agent W balance 5\nagent A\nissue x = tx W -(10)[false]-> A\n"
@@ -399,7 +418,8 @@ def test_claimed_guard_refuted_by_stored_claim():
     )
     denial = ClaimPayload("deny", Claim("Omega_Y", parse_formula("!license(A)", s)))
     bt = seeded_tree(s, denial)
-    r = Validator(s, bt).validate(TransactionPayload(s.contract.action("lic")), bt.select(), 0)
+    lic = TransactionPayload(action(s.contract, "lic"))
+    r = Validator(s, bt).validate(lic, bt.select(), 0)
     assert not r.ok and r.reason == "Discord"
     cert = r.certificate
     assert cert.candidate.authority == "Omega_X"
@@ -455,13 +475,13 @@ def test_validator_drives_tree_appends():
     s = bank()
     bt = BlockTree(GenesisPayload.for_contract(s.contract), OracleConfig.frugal(2))
     v = Validator(s, bt)
-    assert append(bt, v, TransactionPayload(s.contract.action("x"))).ok
-    assert append(bt, v, TransactionPayload(s.contract.action("y"))).ok
+    assert append(bt, v, TransactionPayload(action(s.contract, "x"))).ok
+    assert append(bt, v, TransactionPayload(action(s.contract, "y"))).ok
     st = compute_state(bt, bt.select())
     assert st.balances == {"W": 20, "A": 10, "B": 20}
     assert st.published == ("x", "y")
     # replaying a published binding is a structural rejection
-    r = append(bt, v, TransactionPayload(s.contract.action("x")))
+    r = append(bt, v, TransactionPayload(action(s.contract, "x")))
     assert r.reason == "AppendConditions"
     assert r.detail.startswith("DuplicateBinding: ")
     assert len(bt) == 3
@@ -471,11 +491,11 @@ def test_dependency_rejected_until_parent_lands():
     s = bank()
     bt = BlockTree(GenesisPayload.for_contract(s.contract), OracleConfig.frugal(2))
     v = Validator(s, bt)
-    r = append(bt, v, TransactionPayload(s.contract.action("y")))
+    r = append(bt, v, TransactionPayload(action(s.contract, "y")))
     assert not r.ok and r.detail.startswith("UnmetDependency: ")
     assert len(bt) == 1
-    assert append(bt, v, TransactionPayload(s.contract.action("x"))).ok
-    assert append(bt, v, TransactionPayload(s.contract.action("y"))).ok
+    assert append(bt, v, TransactionPayload(action(s.contract, "x"))).ok
+    assert append(bt, v, TransactionPayload(action(s.contract, "y"))).ok
     assert compute_state(bt, bt.select()).published == ("x", "y")
 
 

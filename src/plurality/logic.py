@@ -20,6 +20,7 @@ trusting the search.
 from __future__ import annotations
 
 import hashlib
+import operator
 import re
 from collections.abc import Mapping, Set as AbstractSet
 from dataclasses import dataclass, field
@@ -404,10 +405,12 @@ def _holds(f, m, defs) -> bool:
         return False
     if isinstance(f, Not):
         return not _holds(f.sub, m, defs)
-    if isinstance(f, And):
-        return _holds(f.lhs, m, defs) and _holds(f.rhs, m, defs)
-    if isinstance(f, Or):
-        return _holds(f.lhs, m, defs) or _holds(f.rhs, m, defs)
+    if isinstance(f, (And, Or)):  # a quantifier's chain is as long as its domain: loop
+        kind, stop, rest = type(f), isinstance(f, Or), []
+        while isinstance(f, kind):
+            rest.append(f.rhs)
+            f = f.lhs
+        return any(_holds(g, m, defs) == stop for g in [f, *rest[::-1]]) == stop
     if isinstance(f, Implies):
         return (not _holds(f.lhs, m, defs)) or _holds(f.rhs, m, defs)
     if isinstance(f, Cmp):
@@ -502,37 +505,11 @@ def _mk_implies(a, b):
 def _expand(f, defs, env, stack) -> Formula:
     if isinstance(f, (TrueF, FalseF)):
         return f
-    if isinstance(f, Atom):
-        name = f.name
-        args = tuple(_norm_term(a, defs, env, stack) for a in f.args)
-        if name == "hashlock":
-            _check_arity(name, args, 2)
-            va, vb = _value_of(args[0]), _value_of(args[1])
-            if va is not None and vb is not None:
-                return TRUE if _hashlock(va, vb) else FALSE
-            return Atom(name, args)
-        if name == "before":
-            _check_arity(name, args, 1)
-            return Atom(name, args)
-        if name in defs.predicates:
-            if name in stack:
-                raise StratificationViolation(f"predicate {name!r} depends on itself")
-            pd = defs.predicates[name]
-            _check_arity(name, args, len(pd.params))
-            inner = dict(zip(pd.params, args))
-            return _expand(pd.body, defs, inner, stack + (name,))
-        arity = defs.atom_arity(name)
-        if arity is None:
-            raise UnknownSymbol(f"atom {name!r} is not declared")
-        _check_arity(name, args, arity)
-        return Atom(name, args)
-    if isinstance(f, Cmp):
-        a = _norm_term(f.lhs, defs, env, stack)
-        b = _norm_term(f.rhs, defs, env, stack)
-        va, vb = _value_of(a), _value_of(b)
-        if va is not None and vb is not None:
-            return TRUE if _decide_cmp(f.op, va, vb) else FALSE
-        return Cmp(f.op, a, b)
+    if isinstance(f, (Atom, Cmp)):
+        g = _ground_atom(f, defs, env, stack)
+        if type(g) is list:
+            return Atom(f.name, tuple(g))
+        return _expand(g[0], defs, g[1], g[2]) if type(g) is tuple else g
     if isinstance(f, Not):
         return _mk_not(_expand(f.sub, defs, env, stack))
     if isinstance(f, And):
@@ -558,13 +535,49 @@ def _expand(f, defs, env, stack) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _ground_atom(f, defs, env, stack):
+    """Ground an atom or comparison to TRUE, FALSE, a residual Cmp, a residual
+    atom's argument list, or a predicate's ``(body, env, stack)`` to ground."""
+    if type(f) is Cmp:
+        a = _norm_term(f.lhs, defs, env, stack)
+        b = _norm_term(f.rhs, defs, env, stack)
+        va, vb = _value_of(a), _value_of(b)
+        if va is not None and vb is not None:
+            return TRUE if _decide_cmp(f.op, va, vb) else FALSE
+        return Cmp(f.op, a, b)
+    name = f.name
+    args = [_norm_term(a, defs, env, stack) for a in f.args]
+    if name == "hashlock":
+        _check_arity(name, args, 2)
+        vals = [_value_of(a) for a in args]
+        if any(isinstance(v, int) for v in vals):
+            raise TypeMismatch("hashlock expects a hex digest and a string preimage")
+        return args if None in vals else TRUE if _hashlock(*vals) else FALSE
+    if name == "before":
+        _check_arity(name, args, 1)
+        if isinstance(_value_of(args[0]), str):
+            raise TypeMismatch("before expects an integer tick")
+        return args
+    if name in defs.predicates:
+        if name in stack:
+            raise StratificationViolation(f"predicate {name!r} depends on itself")
+        pd = defs.predicates[name]
+        _check_arity(name, args, len(pd.params))
+        return pd.body, dict(zip(pd.params, args)), stack + (name,)
+    arity = defs.atom_arity(name)
+    if arity is None:
+        raise UnknownSymbol(f"atom {name!r} is not declared")
+    _check_arity(name, args, arity)
+    return args
+
+
 def _norm_term(t, defs, env, stack) -> Term:
-    if isinstance(t, (Constant, IntLit, AgentRef, BalanceOf)):
-        return t
     if isinstance(t, Var):
         if t.name not in env:
             raise NonGround(f"free variable {t.name!r}")
         return env[t.name]
+    if isinstance(t, (Constant, IntLit, AgentRef, BalanceOf)):
+        return t
     if isinstance(t, FnApp):
         name = t.name
         args = tuple(_norm_term(a, defs, env, stack) for a in t.args)
@@ -693,60 +706,8 @@ class _AtomTable:
         return len(self.names)
 
 
-def _nnf(f: Formula, neg: bool) -> Formula:
-    if isinstance(f, TrueF):
-        return FALSE if neg else TRUE
-    if isinstance(f, FalseF):
-        return TRUE if neg else FALSE
-    if isinstance(f, (Atom, Cmp)):
-        return Not(f) if neg else f
-    if isinstance(f, Not):
-        return _nnf(f.sub, not neg)
-    if isinstance(f, And):
-        if neg:
-            return Or(_nnf(f.lhs, True), _nnf(f.rhs, True))
-        return And(_nnf(f.lhs, False), _nnf(f.rhs, False))
-    if isinstance(f, Or):
-        if neg:
-            return And(_nnf(f.lhs, True), _nnf(f.rhs, True))
-        return Or(_nnf(f.lhs, False), _nnf(f.rhs, False))
-    if isinstance(f, Implies):
-        if neg:
-            return And(_nnf(f.lhs, False), _nnf(f.rhs, True))
-        return Or(_nnf(f.lhs, True), _nnf(f.rhs, False))
-    raise LogicError(f"not residual: {formula_text(f)}")
-
-
-def _clauses(f: Formula, table: _AtomTable, budget: int) -> list[frozenset[int]]:
-    """Plain distributive CNF of an NNF residual formula."""
-    if isinstance(f, TrueF):
-        return []
-    if isinstance(f, FalseF):
-        return [frozenset()]
-    if isinstance(f, (Atom, Cmp)):
-        return [frozenset({table.id_of(atom_key(f)) + 1})]
-    if isinstance(f, Not):
-        return [frozenset({-(table.id_of(atom_key(f.sub)) + 1)})]
-    if isinstance(f, And):
-        return _clauses(f.lhs, table, budget) + _clauses(f.rhs, table, budget)
-    if isinstance(f, Or):
-        left = _clauses(f.lhs, table, budget)
-        right = _clauses(f.rhs, table, budget)
-        if not left or not right:
-            # one side is valid, so the disjunction is valid
-            return []
-        out = []
-        for cl in left:
-            for cr in right:
-                out.append(cl | cr)
-                if len(out) > budget:
-                    raise ResourceLimit("clause budget exceeded in CNF")
-        return out
-    raise LogicError(f"unexpected connective in NNF: {formula_text(f)}")
-
-
 def _is_tautology(clause: frozenset[int]) -> bool:
-    return any(-lit in clause for lit in clause)
+    return not clause.isdisjoint(map(operator.neg, clause))
 
 
 def _formula_clauses(f: Formula, defs: DefinitionSet, budget: int):
@@ -757,11 +718,80 @@ def _formula_clauses(f: Formula, defs: DefinitionSet, budget: int):
     key = (f, budget)
     got = defs._clause_cache.get(key)
     if got is None:
-        local = _AtomTable()
-        clauses = _clauses(_nnf(ground_expand(f, defs), False), local, budget)
-        got = (local.names, [cl for cl in clauses if not _is_tautology(cl)])
+        table = _AtomTable()
+        try:
+            clauses = _cnf(f, False, {}, (), defs, table, budget, {}, {})
+        except ResourceLimit:  # the expansion may fold the overflowing branch away,
+            table = _AtomTable()  # or fail to ground after it: walk the expansion
+            clauses = _cnf(ground_expand(f, defs), False, {}, (), defs, table, budget, {}, {})
+        got = (table.names, [tuple(cl) for cl in map(frozenset, clauses) if not _is_tautology(cl)])
         defs._clause_cache[key] = got
     return got
+
+
+def _cnf(f, neg, env, stack, defs, table, budget, wrapped, texts) -> list[tuple[int, ...]]:
+    """Clauses of ``ground_expand(f)``, negated if ``neg``, in one walk: ``[]``
+    is TRUE, ``[()]`` FALSE, and a part that folds to one leaves no atoms in
+    ``table``.  ``wrapped`` maps domains to members, ``texts`` ids to texts."""
+    kind = type(f)
+    while kind is Not:
+        f, neg, kind = f.sub, not neg, type(f.sub)
+    if kind is Atom or kind is Cmp:
+        g = _ground_atom(f, defs, env, stack)
+        if type(g) is list:
+            k = ", ".join([texts.get(id(a)) or term_text(a) for a in g])
+            k = f"{f.name}({k})" if g else f.name
+        elif type(g) is Cmp:
+            k = formula_text(g)
+        elif type(g) is tuple:
+            return _cnf(g[0], neg, g[1], g[2], defs, table, budget, wrapped, texts)
+        else:
+            return [] if (g is TRUE) != neg else [()]
+        lit = table.id_of(k) + 1
+        return [(-lit,)] if neg else [(lit,)]
+    if kind is TrueF or kind is FalseF:
+        return [] if (kind is TrueF) != neg else [()]
+    mark = len(table.names)
+    if kind is And or kind is Or or kind is Implies:
+        conj = (kind is And) != neg
+        a = _cnf(f.lhs, neg != (kind is Implies), env, stack, defs, table, budget, wrapped, texts)
+        b = _cnf(f.rhs, neg, env, stack, defs, table, budget, wrapped, texts)
+        out = _join(conj, a, b, budget)
+    elif kind is ForAll or kind is Exists:
+        conj = (kind is ForAll) != neg
+        terms = wrapped.get(f.domain)
+        if terms is None:
+            terms = wrapped[f.domain] = [_wrap(v) for v in defs.domain_members(f.domain)]
+            texts.update((id(t), term_text(t)) for t in terms)
+        out, inner = [] if conj else [()], dict(env)
+        for t in terms:
+            inner[f.var] = t
+            part = _cnf(f.body, neg, inner, stack, defs, table, budget, wrapped, texts)
+            out = _join(conj, out, part, budget)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    if not out or not out[0]:  # a constant: none of its atoms is in the expansion
+        for k in table.names[mark:]:
+            del table.index[k]
+        del table.names[mark:]
+    return out
+
+
+def _join(conj: bool, a: list, b: list, budget: int) -> list:
+    """``a & b`` if ``conj`` else ``a | b``, folding constants; the caller owns both lists."""
+    if conj:
+        if not a or (b and not b[0]):
+            return b
+        if b and a[0]:
+            a += b
+        return a
+    if not b or (a and not a[0]):
+        return b
+    if not a or not b[0]:
+        return a
+    if len(a) * len(b) > budget:
+        raise ResourceLimit("clause budget exceeded in CNF")
+    return [x + y for x in a for y in b]
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,39 @@ def test_check_certificate_is_fast_on_claims_12x2(tmp_path, capsys):
     assert "certificate verified: claim O: st(i11, v1)" in out
 
 
+def wide_scenario(line: str) -> str:
+    """A 1,500-member domain Items, an atom st over it and ``line``."""
+    items = ", ".join(f"i{i}" for i in range(1500))
+    return (
+        f"agent W balance 50\nagent A\noracle O\ndomain Items = {{ {items} }}\n"
+        f"atom st(item)\n{line}\n"
+    )
+
+
+def run_wide(tmp_path, capsys, line: str) -> str:
+    scenario = tmp_path / "wide.plu"
+    scenario.write_text(wide_scenario(line))
+    trace = tmp_path / "wide.trace.json"
+    code, out, err = run_cli(capsys, "run", str(scenario), "--trace", str(trace))
+    assert code in (EXIT_OK, EXIT_DISCORD)
+    assert "Traceback" not in err
+    return out
+
+
+def test_a_closed_guard_over_a_wide_domain_is_read_without_deep_recursion(tmp_path, capsys):
+    out = run_wide(tmp_path, capsys, "issue x = tx W -(10)[forall c in Items . !st(c)]-> A")
+    assert "x (action): published block" in out
+
+
+def test_a_constraint_over_a_wide_domain_gives_its_claim_a_verdict(tmp_path, capsys):
+    out = run_wide(
+        tmp_path,
+        capsys,
+        "constraint forall c in Items . !st(c) | st(c)\nat 0 claim k = O: st(i0)",
+    )
+    assert "reject k: ResourceLimit (1500 ground atoms exceeds the configured cap 512)" in out
+
+
 def test_check_certificate_rejects_malformed_file(tmp_path, capsys):
     bogus = tmp_path / "bogus.json"
     bogus.write_text("{ not json")

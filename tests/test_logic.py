@@ -1,10 +1,12 @@
 """Evaluator, ground expansion and the refutation engine.
 
 The evaluator is checked against ``direct_evaluate``, an interpreter
-that walks the formula itself instead of its ground expansion.  The
-refutation tests lean on an exhaustive truth-table oracle; the engine
-must agree with it exactly, and certificates must be minimal against
-brute-force subset enumeration.
+that walks the formula itself instead of its ground expansion, and the
+one-pass clausifier against ``oracle_formula_clauses``, which expands,
+pushes negations in and distributes in three passes.  The refutation
+tests lean on an exhaustive truth-table oracle; the engine must agree
+with it exactly, and certificates must be minimal against brute-force
+subset enumeration.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from plurality.logic import (
     BUILTIN_FUNCTIONS,
+    CMP_OPS,
     FALSE,
     TRUE,
     AgentRef,
@@ -37,6 +40,8 @@ from plurality.logic import (
     FunctionDef,
     Implies,
     IntLit,
+    LogicError,
+    MAX_CLAUSES,
     Model,
     NonGround,
     Not,
@@ -50,10 +55,14 @@ from plurality.logic import (
     UnknownSymbol,
     Var,
     _arith,
+    _AtomTable,
     _check_arity,
     _decide_cmp,
+    _formula_clauses,
     _hashlock,
+    _is_tautology,
     _wrap,
+    atom_key,
     brute_force_satisfiable,
     claim_text,
     evaluate,
@@ -64,6 +73,7 @@ from plurality.logic import (
     residual_atoms,
     store_consistent,
 )
+from plurality.syntax import ClaimedGuard, ClaimEvent, parse_scenario
 
 
 def basic_defs() -> DefinitionSet:
@@ -683,6 +693,235 @@ def test_cache_is_per_definition_set():
         for n in order:
             refuted = refute((), (constraint,), cand, defs[n]) is not None
             assert refuted == (n == 2)
+
+
+# --- one-pass clausification against expand, then NNF, then CNF ------------
+
+
+def _nnf(f, neg: bool):
+    if isinstance(f, TrueF):
+        return FALSE if neg else TRUE
+    if isinstance(f, FalseF):
+        return TRUE if neg else FALSE
+    if isinstance(f, (Atom, Cmp)):
+        return Not(f) if neg else f
+    if isinstance(f, Not):
+        return _nnf(f.sub, not neg)
+    if isinstance(f, And):
+        if neg:
+            return Or(_nnf(f.lhs, True), _nnf(f.rhs, True))
+        return And(_nnf(f.lhs, False), _nnf(f.rhs, False))
+    if isinstance(f, Or):
+        if neg:
+            return And(_nnf(f.lhs, True), _nnf(f.rhs, True))
+        return Or(_nnf(f.lhs, False), _nnf(f.rhs, False))
+    if isinstance(f, Implies):
+        if neg:
+            return And(_nnf(f.lhs, False), _nnf(f.rhs, True))
+        return Or(_nnf(f.lhs, True), _nnf(f.rhs, False))
+    raise LogicError(f"not residual: {formula_text(f)}")
+
+
+def _clauses(f, table: _AtomTable, budget: int) -> list[frozenset[int]]:
+    """Plain distributive CNF of an NNF residual formula."""
+    if isinstance(f, TrueF):
+        return []
+    if isinstance(f, FalseF):
+        return [frozenset()]
+    if isinstance(f, (Atom, Cmp)):
+        return [frozenset({table.id_of(atom_key(f)) + 1})]
+    if isinstance(f, Not):
+        return [frozenset({-(table.id_of(atom_key(f.sub)) + 1)})]
+    if isinstance(f, And):
+        return _clauses(f.lhs, table, budget) + _clauses(f.rhs, table, budget)
+    if isinstance(f, Or):
+        left = _clauses(f.lhs, table, budget)
+        right = _clauses(f.rhs, table, budget)
+        if not left or not right:
+            # one side is valid, so the disjunction is valid
+            return []
+        out = []
+        for cl in left:
+            for cr in right:
+                out.append(cl | cr)
+                if len(out) > budget:
+                    raise ResourceLimit("clause budget exceeded in CNF")
+        return out
+    raise LogicError(f"unexpected connective in NNF: {formula_text(f)}")
+
+
+def oracle_formula_clauses(f, defs, budget):
+    """What ``_formula_clauses`` computed before grounding and clause
+    building became one walk: expand, push negations in, distribute."""
+    table = _AtomTable()
+    clauses = _clauses(_nnf(ground_expand(f, defs), False), table, budget)
+    return table.names, [cl for cl in clauses if not _is_tautology(cl)]
+
+
+DIGEST_OF_S = hashlib.sha256(b"s").hexdigest()
+
+
+def clause_defs() -> DefinitionSet:
+    d = DefinitionSet()
+    d.domains["Kids"] = ("A", "B")
+    d.domains["Nums"] = (1, 2)
+    d.domains["None"] = ()
+    d.atoms["paid"] = 1
+    d.atoms["p"] = 0
+    d.atoms["q"] = 0
+    d.atoms["r"] = 2
+    d.functions["as_grate"] = FunctionDef("as_grate", 1, params=("x",), body=Var("x"))
+    d.functions["rank"] = FunctionDef("rank", 2)
+    d.functions["grade_of"] = FunctionDef("grade_of", 1, table={("A",): 12, ("B",): 9})
+    d.predicates["at_least"] = PredicateDef("at_least", ("w", "k"), Cmp(">=", Var("w"), Var("k")))
+    d.predicates["some_paid"] = PredicateDef(
+        "some_paid", (), Exists("z", "Kids", Atom("paid", (Var("z"),)))
+    )
+    d.predicates["loop"] = PredicateDef("loop", (), Atom("loop"))
+    return d
+
+
+def clause_outcome(clausify, f, budget):
+    """Atom keys and clauses as sets of literals, or the error's class and text."""
+    try:
+        names, clauses = clausify(f, clause_defs(), budget)
+    except LogicError as e:
+        return type(e), str(e)
+    return list(names), [frozenset(cl) for cl in clauses]
+
+
+def random_term(rng: random.Random, sort: str, depth: int = 1):
+    """A ``sort`` ("sym" or "num") term over ``clause_defs`` once x ranges
+    over Kids and y over Nums; now and then a term of the other sort, a
+    table miss, a hashlock operand or a free variable."""
+    roll = rng.random()
+    if roll < 0.05:
+        return rng.choice((Constant("Z"), Constant(DIGEST_OF_S), Constant("s"), Var("free")))
+    if roll < 0.1:
+        sort = "num" if sort == "sym" else "sym"
+    if depth <= 0 or roll < 0.6:
+        if sort == "sym":
+            return rng.choice((Constant("A"), Constant("B"), Var("x")))
+        return rng.choice((IntLit(1), IntLit(2), BalanceOf("W"), Var("y")))
+    if sort == "sym":
+        return FnApp("as_grate", (random_term(rng, "sym", depth - 1),))
+    pick = rng.randrange(3)
+    if pick == 0:
+        return FnApp("add", tuple(random_term(rng, "num", depth - 1) for _ in range(2)))
+    if pick == 1:
+        return FnApp("grade_of", (random_term(rng, "sym", depth - 1),))
+    return FnApp("rank", (random_term(rng, "sym", depth - 1), random_term(rng, "num", depth - 1)))
+
+
+def random_clause_formula(rng: random.Random, depth: int):
+    """A formula over ``clause_defs`` whose free variables are x and y."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.25:
+        pick = rng.randrange(11)
+        if pick == 0:
+            return rng.choice((TRUE, FALSE))
+        if pick <= 2:
+            return rng.choice((Atom("p"), Atom("q"), Atom("some_paid")))
+        if pick == 3 and rng.random() < 0.3:
+            return rng.choice((Atom("loop"), Atom("undeclared"), Atom("paid")))
+        if pick <= 4:
+            if rng.random() < 0.5:
+                sort = rng.choice(("sym", "num"))
+                return Cmp(rng.choice(("=", "!=")), random_term(rng, sort), random_term(rng, sort))
+            return Cmp(rng.choice(CMP_OPS), random_term(rng, "num"), random_term(rng, "num"))
+        if pick == 5:
+            operands = (Constant(DIGEST_OF_S), Constant("s"), Var("x"), BalanceOf("W"))
+            return Atom("hashlock", (rng.choice(operands), rng.choice(operands)))
+        if pick == 6:
+            return Atom("before", (random_term(rng, "num"),))
+        if pick == 7:
+            return Atom("at_least", (random_term(rng, "num"), random_term(rng, "num")))
+        if pick == 8:
+            return Atom("r", (random_term(rng, "sym"), random_term(rng, "num")))
+        return Atom("paid", (random_term(rng, "sym"),))
+    sub = [random_clause_formula(rng, depth - 1) for _ in range(2)]
+    if roll < 0.35:
+        sub[rng.randrange(2)] = rng.choice((TRUE, FALSE))  # folds under this connective
+    if roll < 0.75:
+        return rng.choice((And, Or, Implies))(*sub)
+    if roll < 0.85:
+        return Not(sub[0])
+    kind = rng.choice((ForAll, Exists))
+    return kind(rng.choice("xy"), rng.choice(("Kids", "Nums", "None")), sub[0])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_one_pass_clauses_match_the_oracle(seed):
+    rng = random.Random(seed)
+    f = random_clause_formula(rng, rng.randrange(1, 6))
+    for var, domain in (("y", "Nums"), ("x", "Kids")):
+        f = rng.choice((ForAll, Exists))(var, domain if rng.random() < 0.9 else "None", f)
+    budget = rng.choice((1, 2, 3, 5, 8, MAX_CLAUSES))
+    assert clause_outcome(_formula_clauses, f, budget) == clause_outcome(
+        oracle_formula_clauses, f, budget
+    )
+
+
+# (p & paid(A)) | (p & r(A, 1)) distributes to four clauses
+FOUR_CLAUSES = Or(
+    And(Atom("p"), Atom("paid", (Constant("A"),))),
+    And(Atom("p"), Atom("r", (Constant("A"), IntLit(1)))),
+)
+
+
+def test_an_overflow_in_a_branch_the_expansion_folds_away_is_no_error():
+    assert clause_outcome(_formula_clauses, FOUR_CLAUSES, 3) == (
+        ResourceLimit,
+        "clause budget exceeded in CNF",
+    )
+    valid, unsatisfiable = ([], []), ([], [frozenset()])
+    for f, want in (
+        (Or(FOUR_CLAUSES, TRUE), valid),
+        (Implies(FOUR_CLAUSES, TRUE), valid),
+        (Exists("x", "Kids", Or(TRUE, FOUR_CLAUSES)), valid),
+        (And(FOUR_CLAUSES, FALSE), unsatisfiable),
+    ):
+        assert clause_outcome(_formula_clauses, f, 3) == want
+        assert clause_outcome(oracle_formula_clauses, f, 3) == want
+
+
+def test_a_grounding_error_wins_over_an_earlier_overflow():
+    f = And(FOUR_CLAUSES, Atom("paid", (FnApp("grade_of", (Constant("Z"),)),)))
+    want = (UnknownSymbol, "grade_of('Z',) has no table entry")
+    assert clause_outcome(_formula_clauses, f, 3) == want
+    assert clause_outcome(oracle_formula_clauses, f, 3) == want
+
+
+def test_scenario_formulas_clausify_as_the_oracle_does():
+    # claim bodies, constraints and closed guards of every bundled scenario
+    root = Path(__file__).resolve().parents[1]
+    seen = 0
+    for path in sorted((root / "scenarios").glob("*.plu")):
+        scenario = parse_scenario(path.read_text(encoding="utf-8"), path.stem)
+        defs = scenario.contract.defs
+        bodies = list(defs.constraints)
+        bodies += [e.claim.body for e in scenario.events if isinstance(e, ClaimEvent)]
+        for a in scenario.contract.actions:
+            guard = a.transaction.guard
+            bodies.append(guard.claim.body if isinstance(guard, ClaimedGuard) else guard.formula)
+        for f in bodies:
+            names, clauses = _formula_clauses(f, defs, MAX_CLAUSES)
+            want_names, want = oracle_formula_clauses(f, defs, MAX_CLAUSES)
+            assert names == want_names and [frozenset(c) for c in clauses] == want, path.stem
+            assert all(len(set(c)) == len(c) for c in clauses)
+            seen += 1
+    assert seen >= 29
+
+
+def test_a_quantifier_over_a_large_domain_does_not_recurse_per_member():
+    d = DefinitionSet(domains={"Big": tuple(f"m{i}" for i in range(3000))}, atoms={"st": 1})
+    st_c = Atom("st", (Var("c"),))
+    names, clauses = _formula_clauses(ForAll("c", "Big", Or(Not(st_c), st_c)), d, MAX_CLAUSES)
+    assert len(names) == 3000 and clauses == []
+    assert evaluate(ForAll("c", "Big", Not(st_c)), Model(), d)
+    assert not evaluate(Exists("c", "Big", st_c), Model(), d)
+    assert evaluate(Exists("c", "Big", st_c), Model(asserted={("st", ("m2999",))}), d)
 
 
 # ---------------------------------------------------------------------------

@@ -389,6 +389,25 @@ def test_a_guard_with_a_branch_that_cannot_ground_is_rejected_as_a_claim_is():
     assert claimed.detail == "grade('Z',) has no table entry"
 
 
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        ("before(a)", "before expects an integer tick"),
+        ("hashlock(1, |W|)", "hashlock expects a hex digest and a string preimage"),
+    ],
+)
+def test_an_ill_typed_builtin_is_rejected_as_a_guard_and_as_a_claim(body, error):
+    # a value argument of the wrong type (the balance stays open) is
+    # rejected by grounding, which both readings share
+    src = "agent W balance 50\nagent A\noracle Omega_X\nissue x = tx W -(10)[{guard}]-> A\n"
+    closed, _, _ = run_validate(src.format(guard=body))
+    assert not closed.ok and closed.reason == "GuardFalse"
+    assert closed.detail == f"guard cannot be evaluated: {error}"
+    claimed, _, _ = run_validate(src.format(guard=f"claim Omega_X: {body}"))
+    assert not claimed.ok and claimed.reason == "ResourceLimit"
+    assert claimed.detail == error
+
+
 def test_structural_rejection_reported_before_guard():
     r, _, _ = run_validate(
         "agent W balance 5\nagent A\nissue x = tx W -(10)[false]-> A\n"

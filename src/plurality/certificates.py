@@ -226,8 +226,10 @@ def certificate_from_doc(doc: dict, parse) -> DiscordCertificate:
         raise CertificateError(f"unrecognized certificate format {fmt!r}")
     r = _get(doc, "refutation", dict)
     candidate = _claim_from_doc(_get(doc, "candidate", dict), parse)
+    negation = Not(candidate.body)  # nests a level deeper than the body: compared, not parsed
+    text = _get(r, "conclusion", str)
     refutation = Refutation(
-        conclusion=parse(_get(r, "conclusion", str)),
+        conclusion=negation if text == formula_text(negation) else parse(text),
         used_claims=tuple(_claim_from_doc(c, parse) for c in _get(doc, "conflict", list)),
         used_constraints=tuple(parse(g) for g in _strs(r, "used_constraints")),
         atoms=_strs(r, "atoms"),

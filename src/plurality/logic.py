@@ -50,10 +50,6 @@ class ResourceLimit(LogicError):
     """Atom universe or clause budget exceeded during refutation."""
 
 
-class NotInConflict(LogicError):
-    """Conflict minimization was asked for a claim that is not refuted."""
-
-
 Value = str | int
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -276,10 +272,10 @@ class PredicateDef:
 class DefinitionSet:
     """Domains, defined symbols and integrity constraints of a scenario.
 
-    ``refute`` caches, per ``(formula, max_clauses)``, what it derives
-    from one claim body or constraint alone: the formula's ground atom
-    keys in first-occurrence order and its non-tautological clauses over
-    local 1-based atom ids.  The certificate auditor keeps in
+    ``refute`` caches, per formula, what it derives from one claim body
+    or constraint alone: the formula's ground atom keys in
+    first-occurrence order and its non-tautological clauses over local
+    1-based atom ids.  The certificate auditor keeps in
     ``_audit_cache`` what it derives from the constraints alone: their
     atom table, compiled formulas and indexed conjunctions.  Consistency
     checks keep the claims each block id adds with their atom keys
@@ -394,25 +390,33 @@ def evaluate(f: Formula, m: Model, defs: DefinitionSet) -> bool:
     raises, even in a branch the model would never reach; the residual
     atoms are then read from ``m``.
     """
-    return _holds(ground_expand(f, defs), m, defs)
+    return _holds(ground_expand(f, defs), lambda a: _model_atom(a, m, defs))
 
 
-def _holds(f, m, defs) -> bool:
-    """Truth of a residual formula in ``m``; an open atom holds iff asserted."""
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, FalseF):
-        return False
+def _holds(f, leaf) -> bool:
+    """Truth of a residual formula whose atoms and comparisons ``leaf`` decides."""
+    if isinstance(f, (Atom, Cmp)):
+        return leaf(f)
     if isinstance(f, Not):
-        return not _holds(f.sub, m, defs)
+        return not _holds(f.sub, leaf)
     if isinstance(f, (And, Or)):  # a quantifier's chain is as long as its domain: loop
-        kind, stop, rest = type(f), isinstance(f, Or), []
-        while isinstance(f, kind):
+        kind, stop, rest = type(f), isinstance(f, Or), [f.rhs]
+        while isinstance(f := f.lhs, kind):
             rest.append(f.rhs)
-            f = f.lhs
-        return any(_holds(g, m, defs) == stop for g in [f, *rest[::-1]]) == stop
+        rest.append(f)
+        while rest:  # the operands, first first
+            if _holds(rest.pop(), leaf) == stop:
+                return stop
+        return not stop
     if isinstance(f, Implies):
-        return (not _holds(f.lhs, m, defs)) or _holds(f.rhs, m, defs)
+        return (not _holds(f.lhs, leaf)) or _holds(f.rhs, leaf)
+    if isinstance(f, (TrueF, FalseF)):
+        return isinstance(f, TrueF)
+    raise LogicError(f"not residual: {formula_text(f)}")
+
+
+def _model_atom(f, m, defs) -> bool:
+    """Truth in ``m`` of a residual atom or comparison; an open atom holds iff asserted."""
     if isinstance(f, Cmp):
         return _decide_cmp(f.op, _model_value(f.lhs, m, defs), _model_value(f.rhs, m, defs))
     vals = tuple(_model_value(a, m, defs) for a in f.args)
@@ -641,29 +645,17 @@ def residual_atoms(f: Formula) -> list[str]:
 
 def eval_residual(f: Formula, assignment: dict[str, bool]) -> bool:
     """Truth of a residual formula under an explicit atom assignment."""
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, FalseF):
-        return False
-    if isinstance(f, (Atom, Cmp)):
-        key = atom_key(f)
+
+    def leaf(a) -> bool:
+        key = atom_key(a)
         if key not in assignment:
             raise LogicError(f"assignment is missing atom {key}")
         return assignment[key]
-    if isinstance(f, Not):
-        return not eval_residual(f.sub, assignment)
-    if isinstance(f, And):
-        return eval_residual(f.lhs, assignment) and eval_residual(f.rhs, assignment)
-    if isinstance(f, Or):
-        return eval_residual(f.lhs, assignment) or eval_residual(f.rhs, assignment)
-    if isinstance(f, Implies):
-        return (not eval_residual(f.lhs, assignment)) or eval_residual(f.rhs, assignment)
-    raise LogicError(f"not residual: {formula_text(f)}")
+
+    return _holds(f, leaf)
 
 
-def brute_force_satisfiable(
-    formulas: list[Formula], defs: DefinitionSet, *, max_atoms: int = 22
-) -> dict[str, bool] | None:
+def brute_force_satisfiable(formulas: list[Formula], defs: DefinitionSet) -> dict[str, bool] | None:
     """Exhaustive truth-assignment search; returns a model or None.
 
     Deliberately naive — this is the independent oracle that the
@@ -676,8 +668,8 @@ def brute_force_satisfiable(
         for k in residual_atoms(t):
             keys.setdefault(k)
     names = list(keys)
-    if len(names) > max_atoms:
-        raise ResourceLimit(f"{len(names)} atoms exceeds enumeration limit {max_atoms}")
+    if len(names) > 22:
+        raise ResourceLimit(f"{len(names)} atoms exceeds enumeration limit 22")
     for bits in range(1 << len(names)):
         asg = {names[i]: bool(bits >> i & 1) for i in range(len(names))}
         if all(eval_residual(t, asg) for t in trees):
@@ -710,26 +702,25 @@ def _is_tautology(clause: frozenset[int]) -> bool:
     return not clause.isdisjoint(map(operator.neg, clause))
 
 
-def _formula_clauses(f: Formula, defs: DefinitionSet, budget: int):
+def _formula_clauses(f: Formula, defs: DefinitionSet):
     """Atom keys and non-tautological clauses of ``f``, over local ids.
 
     Memoized on ``defs``; a formula that raises is not cached.
     """
-    key = (f, budget)
-    got = defs._clause_cache.get(key)
+    got = defs._clause_cache.get(f)
     if got is None:
         table = _AtomTable()
         try:
-            clauses = _cnf(f, False, {}, (), defs, table, budget, {}, {})
+            clauses = _cnf(f, False, {}, (), defs, table, {}, {})
         except ResourceLimit:  # the expansion may fold the overflowing branch away,
             table = _AtomTable()  # or fail to ground after it: walk the expansion
-            clauses = _cnf(ground_expand(f, defs), False, {}, (), defs, table, budget, {}, {})
+            clauses = _cnf(ground_expand(f, defs), False, {}, (), defs, table, {}, {})
         got = (table.names, [tuple(cl) for cl in map(frozenset, clauses) if not _is_tautology(cl)])
-        defs._clause_cache[key] = got
+        defs._clause_cache[f] = got
     return got
 
 
-def _cnf(f, neg, env, stack, defs, table, budget, wrapped, texts) -> list[tuple[int, ...]]:
+def _cnf(f, neg, env, stack, defs, table, wrapped, texts) -> list[tuple[int, ...]]:
     """Clauses of ``ground_expand(f)``, negated if ``neg``, in one walk: ``[]``
     is TRUE, ``[()]`` FALSE, and a part that folds to one leaves no atoms in
     ``table``.  ``wrapped`` maps domains to members, ``texts`` ids to texts."""
@@ -744,7 +735,7 @@ def _cnf(f, neg, env, stack, defs, table, budget, wrapped, texts) -> list[tuple[
         elif type(g) is Cmp:
             k = formula_text(g)
         elif type(g) is tuple:
-            return _cnf(g[0], neg, g[1], g[2], defs, table, budget, wrapped, texts)
+            return _cnf(g[0], neg, g[1], g[2], defs, table, wrapped, texts)
         else:
             return [] if (g is TRUE) != neg else [()]
         lit = table.id_of(k) + 1
@@ -752,11 +743,16 @@ def _cnf(f, neg, env, stack, defs, table, budget, wrapped, texts) -> list[tuple[
     if kind is TrueF or kind is FalseF:
         return [] if (kind is TrueF) != neg else [()]
     mark = len(table.names)
-    if kind is And or kind is Or or kind is Implies:
-        conj = (kind is And) != neg
-        a = _cnf(f.lhs, neg != (kind is Implies), env, stack, defs, table, budget, wrapped, texts)
-        b = _cnf(f.rhs, neg, env, stack, defs, table, budget, wrapped, texts)
-        out = _join(conj, a, b, budget)
+    if kind is Implies:
+        a = _cnf(f.lhs, not neg, env, stack, defs, table, wrapped, texts)
+        out = _join(neg, a, _cnf(f.rhs, neg, env, stack, defs, table, wrapped, texts))
+    elif kind is And or kind is Or:  # a quantifier's chain is as long as its domain: loop
+        conj, rest = (kind is And) != neg, [f.rhs]
+        while type(f := f.lhs) is kind:
+            rest.append(f.rhs)
+        out = _cnf(f, neg, env, stack, defs, table, wrapped, texts)
+        while rest:  # the links' right operands, first link first
+            out = _join(conj, out, _cnf(rest.pop(), neg, env, stack, defs, table, wrapped, texts))
     elif kind is ForAll or kind is Exists:
         conj = (kind is ForAll) != neg
         terms = wrapped.get(f.domain)
@@ -766,8 +762,8 @@ def _cnf(f, neg, env, stack, defs, table, budget, wrapped, texts) -> list[tuple[
         out, inner = [] if conj else [()], dict(env)
         for t in terms:
             inner[f.var] = t
-            part = _cnf(f.body, neg, inner, stack, defs, table, budget, wrapped, texts)
-            out = _join(conj, out, part, budget)
+            part = _cnf(f.body, neg, inner, stack, defs, table, wrapped, texts)
+            out = _join(conj, out, part)
     else:
         raise TypeError(f"not a formula: {f!r}")
     if not out or not out[0]:  # a constant: none of its atoms is in the expansion
@@ -777,7 +773,7 @@ def _cnf(f, neg, env, stack, defs, table, budget, wrapped, texts) -> list[tuple[
     return out
 
 
-def _join(conj: bool, a: list, b: list, budget: int) -> list:
+def _join(conj: bool, a: list, b: list) -> list:
     """``a & b`` if ``conj`` else ``a | b``, folding constants; the caller owns both lists."""
     if conj:
         if not a or (b and not b[0]):
@@ -789,7 +785,7 @@ def _join(conj: bool, a: list, b: list, budget: int) -> list:
         return b
     if not a or not b[0]:
         return a
-    if len(a) * len(b) > budget:
+    if len(a) * len(b) > MAX_CLAUSES:
         raise ResourceLimit("clause budget exceeded in CNF")
     return [x + y for x in a for y in b]
 
@@ -838,15 +834,7 @@ class Refutation:
     steps: tuple[ProofStep, ...]
 
 
-def refute(
-    claims,
-    constraints,
-    candidate: Claim,
-    defs: DefinitionSet,
-    *,
-    max_atoms: int = MAX_ATOMS,
-    max_clauses: int = MAX_CLAUSES,
-) -> Refutation | None:
+def refute(claims, constraints, candidate: Claim, defs: DefinitionSet) -> Refutation | None:
     """Try to refute ``candidate`` from the claim store and constraints.
 
     Returns a Refutation if claims + constraints + candidate body is
@@ -877,14 +865,12 @@ def refute(
     inputs: list[tuple[tuple, frozenset[int]]] = []
 
     def clausify(source: tuple, body: Formula):
-        names, clauses = _formula_clauses(body, defs, max_clauses)
+        names, clauses = _formula_clauses(body, defs)
         ids = [0] + [table.id_of(k) + 1 for k in names]
         for cl in clauses:
             inputs.append((source, frozenset(ids[l] if l > 0 else -ids[-l] for l in cl)))
-        if len(table) > max_atoms:
-            raise ResourceLimit(
-                f"{len(table)} ground atoms exceeds the configured cap {max_atoms}"
-            )
+        if len(table) > MAX_ATOMS:
+            raise ResourceLimit(f"{len(table)} ground atoms exceeds the configured cap {MAX_ATOMS}")
 
     for i, c in enumerate(claims):
         clausify(("claim", i), c.body)
@@ -945,7 +931,7 @@ def refute(
                     break
             if empty_at is not None:
                 break
-            if len(clause_step) > max_clauses:
+            if len(clause_step) > MAX_CLAUSES:
                 raise ResourceLimit("clause budget exceeded during elimination")
 
     if empty_at is None:
@@ -964,16 +950,9 @@ def refute(
 
     order = sorted(needed)
     renum = {old: new for new, old in enumerate(order)}
-    claim_ids = sorted(
-        {steps[i].source[1] for i in order if steps[i].rule == "input" and steps[i].source[0] == "claim"}
-    )
-    constraint_ids = sorted(
-        {
-            steps[i].source[1]
-            for i in order
-            if steps[i].rule == "input" and steps[i].source[0] == "constraint"
-        }
-    )
+    cited = [steps[i].source for i in order if steps[i].rule == "input"]
+    claim_ids = sorted({src[1] for src in cited if src[0] == "claim"})
+    constraint_ids = sorted({src[1] for src in cited if src[0] == "constraint"})
     claim_pos = {old: new for new, old in enumerate(claim_ids)}
     constraint_pos = {old: new for new, old in enumerate(constraint_ids)}
     used_atom_ids = sorted({abs(l) for i in order for l in steps[i].clause})
@@ -1037,38 +1016,35 @@ class DiscordCertificate:
 
 
 def minimize_conflict(
-    claims,
-    constraints,
-    candidate: Claim,
-    defs: DefinitionSet,
-    **limits,
-) -> DiscordCertificate:
+    claims, constraints, candidate: Claim, defs: DefinitionSet
+) -> DiscordCertificate | None:
     """Deletion-minimize the set of stored claims needed to refute.
 
-    Standard destructive shrinking: start from the claims the first
-    refutation cited, try dropping each in store order, keep the drop
-    whenever a refutation still exists.  One pass suffices because
-    satisfiability is monotone under deletion.
+    Returns None when nothing refutes ``candidate``: the claim is
+    admissible.  Otherwise standard destructive shrinking: start from
+    the claims the first refutation cited, try dropping each in store
+    order, keep the drop whenever a refutation still exists.  One pass
+    suffices because satisfiability is monotone under deletion.
     """
     claims = tuple(claims)
     constraints = tuple(constraints)
-    first = refute(claims, constraints, candidate, defs, **limits)
+    first = refute(claims, constraints, candidate, defs)
     if first is None:
-        raise NotInConflict(f"{claim_text(candidate)} is not refuted by the store")
+        return None
     work = list(first.used_claims)
     i = 0
     while i < len(work):
         trial = work[:i] + work[i + 1 :]
-        if refute(trial, constraints, candidate, defs, **limits) is not None:
+        if refute(trial, constraints, candidate, defs) is not None:
             work = trial
         else:
             i += 1
-    final = refute(work, constraints, candidate, defs, **limits)
+    final = refute(work, constraints, candidate, defs)
     assert final is not None and len(final.used_claims) == len(work)
     return DiscordCertificate(candidate=candidate, conflict=tuple(work), refutation=final)
 
 
-def store_consistent(claims, constraints, defs: DefinitionSet, **limits) -> bool:
+def store_consistent(claims, constraints, defs: DefinitionSet) -> bool:
     """True iff the claim store plus constraints admits no refutation."""
     probe = Claim("Theta", TRUE, origin="consistency-check")
-    return refute(tuple(claims), tuple(constraints), probe, defs, **limits) is None
+    return refute(tuple(claims), tuple(constraints), probe, defs) is None

@@ -109,7 +109,9 @@ class Engine:
     has.  Each new block is checked once, when it is appended (verdicts
     are kept per block id), by what its chain adds to its nearest
     checked block's store; a leaf attached to the tree by other means is
-    checked at the next commit (see ``chain_claims_consistent``).
+    checked at the next commit (see ``chain_claims_consistent``).  Such a
+    block bypasses ``records``: the scheduler retries its action, and
+    records one DuplicateBinding rejection per retry.
     """
 
     def __init__(
@@ -188,16 +190,15 @@ class Engine:
 
     # -- split-phase appends ----------------------------------------------
 
-    def validate_action(self, name: str, *, tick: int | None = None) -> PendingAppend | None:
-        """Validate against the current head; None means rejected (and logged)."""
+    def validate_action(self, name: str) -> PendingAppend | None:
+        """Validate on the current head at the current tick; None means rejected (and logged)."""
         payload = self._payload(name)
-        tick = self.clock if tick is None else tick
         head = self.tree.select()
-        r = self.validator.validate(payload, head, tick)
+        r = self.validator.validate(payload, head, self.clock)
         if not r.ok:
             self._reject(name, r.reason, r.detail, r.certificate)
             return None
-        return PendingAppend(name, payload, self.tree.get_token(head, payload), head, tick)
+        return PendingAppend(name, payload, self.tree.get_token(head, payload), head, self.clock)
 
     def commit_action(self, pending: PendingAppend):
         """Spend the token and attach the block.
@@ -232,9 +233,9 @@ class Engine:
             )
         return block
 
-    def attempt(self, name: str, *, max_attempts: int = 16) -> bool:
-        """Validate and commit, re-validating when the head race is lost."""
-        for _ in range(max_attempts):
+    def attempt(self, name: str) -> bool:
+        """Validate and commit, re-validating (up to 16 times) when the head race is lost."""
+        for _ in range(16):
             pending = self.validate_action(name)
             if pending is None:
                 return False

@@ -242,6 +242,10 @@ def _unquote(tok: str) -> str:
 # Parser
 
 _COMPARISONS = frozenset(("=", "!=", "<", "<=", ">", ">="))
+# Levels a formula may nest, as written and in its canonical form (the one
+# formula_text prints): a parenthesis (a term's too), negation, quantifier,
+# implication or further chain operand opens one level.
+MAX_NESTING = 100
 _SCENARIO_KEYWORDS = {"tokens", "seed", "horizon", "at", "fact"}
 _STATEMENTS = {
     "agent": "p_agent",
@@ -269,6 +273,7 @@ class _Parser:
         self.text = text
         self.toks = _lex(text)
         self.pos = 0
+        self.depth = self.height = 0  # levels open here; canonical levels of the last part
         self.defs = contract.defs
         self.agents = {a.id: a for a in contract.agents}
 
@@ -315,48 +320,63 @@ class _Parser:
 
     # -- formulas ---------------------------------------------------------
 
+    def _too_deep(self, at: int):
+        self.fail(f"formula nests deeper than {MAX_NESTING} levels", at)
+
+    def _deeper(self, at: int, up: int, floor: int, parse, *args):
+        """``parse(*args)``, read one level below token ``at``.  The levels open as
+        written bound the parser's recursion, the canonical ones every later walk;
+        the part's canonical height is ``up`` more than that of what ``parse``
+        read, or ``floor`` if that is more."""
+        self.depth += 1
+        got = parse(*args) if self.depth <= MAX_NESTING else self._too_deep(at)
+        self.depth -= 1
+        self.height = max(floor, self.height + up)
+        return got if self.height <= MAX_NESTING else self._too_deep(at)
+
     def formula(self, bound: set[str]) -> Formula:
         left = self.f_or(bound)
         if self.toks[self.pos] == "->":
-            self.pos += 1
-            return Implies(left, self.formula(bound))  # right-associative
+            self.pos += 1  # right-associative
+            return Implies(left, self._deeper(self.pos - 1, 2, self.height + 1, self.formula, bound))
         return left
 
     def f_or(self, bound) -> Formula:
         left = self.f_and(bound)
         while self.toks[self.pos] == "|":
             self.pos += 1
-            left = Or(left, self.f_and(bound))
+            left = Or(left, self._deeper(self.pos - 1, 2, self.height + 1, self.f_and, bound))
         return left
 
     def f_and(self, bound) -> Formula:
         left = self.f_unary(bound)
         while self.toks[self.pos] == "&":
             self.pos += 1
-            left = And(left, self.f_unary(bound))
+            left = And(left, self._deeper(self.pos - 1, 2, self.height + 1, self.f_unary, bound))
         return left
 
     def f_unary(self, bound) -> Formula:
-        tok = self.toks[self.pos]
+        at = self.pos
+        tok = self.toks[at]
         if tok == "!":
             self.pos += 1
-            return Not(self.f_unary(bound))
+            return Not(self._deeper(at, 1, 0, self.f_unary, bound))
         if tok == "forall" or tok == "exists":
             self.pos += 1
             var = self.expect_ident("variable")
             self.expect("in")
-            at = self.pos
             dom = self.expect_ident("domain")
             if dom not in self.defs.domains:
-                self.fail(f"domain {dom!r} is not declared", at, UndeclaredName)
+                self.fail(f"domain {dom!r} is not declared", self.pos - 1, UndeclaredName)
             self.expect(".")
-            body = self.formula(bound | {var})
+            body = self._deeper(at, 2, 0, self.formula, bound | {var})
             return (ForAll if tok == "forall" else Exists)(var, dom, body)
         return self.f_primary(bound)
 
     def f_primary(self, bound) -> Formula:
         at = self.pos
         tok = self.toks[at]
+        self.height = 0
         if tok == "true":
             self.pos += 1
             return TRUE
@@ -365,14 +385,18 @@ class _Parser:
             return FALSE
         if tok == "(":
             self.pos += 1
-            inner = self.formula(bound)
+            inner = self._deeper(at, 0, 0, self.formula, bound)
             self.expect(")")
             return inner
         lhs = self.term(bound)
         op = self.toks[self.pos]
         if op in _COMPARISONS:
             self.pos += 1
+            height = self.height
             rhs = self.term(bound)
+            self.height = max(height, self.height) + 1
+            if self.height > MAX_NESTING:
+                self._too_deep(at)
             self._resolve_term(lhs)
             self._resolve_term(rhs)
             if self.toks[self.pos] in _COMPARISONS:
@@ -415,12 +439,13 @@ class _Parser:
         at = self.pos
         tok = self.toks[at]
         self.pos = at + 1
+        self.height = 0
         if tok.isidentifier():
             if self.toks[self.pos] == "(":
                 self.pos += 1
                 args: list[Term] = []
                 while self.toks[self.pos] != ")":
-                    args.append(self.term(bound))
+                    args.append(self._deeper(at + 1, 1, self.height, self.term, bound))
                     self.take(",")
                 self.pos += 1
                 return FnApp(tok, tuple(args))

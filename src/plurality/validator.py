@@ -29,7 +29,6 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .logic import (
-    MAX_CLAUSES,
     AgentRef,
     Atom,
     Claim,
@@ -37,7 +36,6 @@ from .logic import (
     IntLit,
     LogicError,
     Model,
-    NotInConflict,
     Value,
     _formula_clauses,
     claim_text,
@@ -261,10 +259,7 @@ def proof_of_discord(claims, constraints, candidate: Claim, defs) -> DiscordCert
     Returns None when the claim is admissible, else a minimized discord
     certificate: the store plus constraints prove its negation.
     """
-    try:
-        return minimize_conflict(claims, constraints, candidate, defs)
-    except NotInConflict:
-        return None
+    return minimize_conflict(claims, constraints, candidate, defs)
 
 
 def chain_claims_consistent(tree, scenario: Scenario, verified: set[str] | None = None) -> bool:
@@ -311,7 +306,7 @@ def _block_claims(block, defs) -> tuple[tuple[Claim, list[str]], ...]:
     if got is None:
         claims: list[Claim] = []
         fold_block(block, {}, [], claims, set())
-        got = tuple((c, _formula_clauses(c.body, defs, MAX_CLAUSES)[0]) for c in claims)
+        got = tuple((c, _formula_clauses(c.body, defs)[0]) for c in claims)
         defs._block_claims[block.id] = got
     return got
 
@@ -330,7 +325,7 @@ def _component_of_new_claims(tree, leaf: str, defs, verified) -> list[Claim]:
     old = [r for bid in chain[:start] for r in _block_claims(tree.block(bid), defs)]
     records = old + [r for bid in chain[start:] for r in _block_claims(tree.block(bid), defs)]
     if defs._constraint_atoms is None:  # set only once every constraint has its clauses
-        compiled = [_formula_clauses(g, defs, MAX_CLAUSES) for g in defs.constraints]
+        compiled = [_formula_clauses(g, defs) for g in defs.constraints]
         defs._constraint_atoms = [
             [names[abs(lit) - 1] for lit in cl] for names, clauses in compiled for cl in clauses
         ]

@@ -295,9 +295,9 @@ def test_check_certificate_is_fast_on_claims_12x2(tmp_path, capsys):
     assert "certificate verified: claim O: st(i11, v1)" in out
 
 
-def wide_scenario(line: str) -> str:
-    """A 1,500-member domain Items, an atom st over it and ``line``."""
-    items = ", ".join(f"i{i}" for i in range(1500))
+def wide_scenario(line: str, members: int = 1500) -> str:
+    """A domain Items of ``members`` members, an atom st over it and ``line``."""
+    items = ", ".join(f"i{i}" for i in range(members))
     return (
         f"agent W balance 50\nagent A\noracle O\ndomain Items = {{ {items} }}\n"
         f"atom st(item)\n{line}\n"
@@ -326,6 +326,103 @@ def test_a_constraint_over_a_wide_domain_gives_its_claim_a_verdict(tmp_path, cap
         "constraint forall c in Items . !st(c) | st(c)\nat 0 claim k = O: st(i0)",
     )
     assert "reject k: ResourceLimit (1500 ground atoms exceeds the configured cap 512)" in out
+
+
+def test_a_claim_whose_clauses_overflow_over_a_wide_domain_is_rejected(tmp_path, capsys):
+    # the retry after the overflow walks the expansion, a chain of 1,200 links
+    scenario = tmp_path / "wide.plu"
+    scenario.write_text(
+        wide_scenario("atom lt(item)\nat 0 claim k = O: exists c in Items . st(c) & lt(c)", 1200)
+    )
+    trace = tmp_path / "wide.trace.json"
+    code, out, err = run_cli(capsys, "run", str(scenario), "--trace", str(trace))
+    assert (code, err) == (EXIT_OK, "")
+    assert "reject k: ResourceLimit (clause budget exceeded in CNF)" in out
+
+
+def test_check_certificate_audits_a_padded_member_over_a_wide_domain(tmp_path, capsys):
+    # the padded member's residual form is a chain of 1,200 links
+    scenario = tmp_path / "wide.plu"
+    scenario.write_text(wide_scenario("constraint !st(i0)\nat 0 claim k = O: st(i0)", 1200))
+    trace = tmp_path / "wide.trace.json"
+    assert run_cli(capsys, "run", str(scenario), "--trace", str(trace))[0] == EXIT_DISCORD
+    cert = tmp_path / "wide.cert-0.json"
+    doc = json.loads(cert.read_text())
+    doc["conflict"].append(
+        {"authority": "O", "body": "(exists c in Items . st(c))", "origin": "x"}
+    )
+    cert.write_text(json.dumps(doc))
+    assert run_cli(capsys, "check-certificate", str(cert), str(scenario)) == (
+        EXIT_NOT_MINIMAL,
+        "conflict set is not minimal: already contradictory without claim O: "
+        "(exists c in Items . st(c))\n",
+        "",
+    )
+
+
+# Claims equivalent to ``on`` that nest exactly MAX_NESTING (100) levels, as
+# written or in canonical form, and the same shapes one level deeper.
+NESTED = {
+    "chain": (" & ".join(["on"] * 100), " & ".join(["on"] * 101)),
+    "negations": ("!" * 100 + "on", "!" * 102 + "on"),
+    "parentheses": ("(" * 100 + "on" + ")" * 100, "(" * 101 + "on" + ")" * 101),
+    "quantifiers": ("exists x in D . " * 50 + "on", "exists x in D . " * 51 + "on"),
+    "implications": ("true -> " * 50 + "on", "true -> " * 51 + "on"),
+    "terms": (
+        "on & " + "add(" * 97 + "0" + ", 0)" * 97 + " = 0",
+        "on & " + "add(" * 98 + "0" + ", 0)" * 98 + " = 0",
+    ),
+    "long-chain": (" | ".join(["on"] * 100), " | ".join(["on"] * 600)),
+    # a deep right operand: the canonical form parenthesizes it
+    "or-negations": ("on | " + "!" * 98 + "on", "on | " + "!" * 99 + "on"),
+    "and-negations": ("on & " + "!" * 98 + "on", "on & " + "!" * 99 + "on"),
+    "implies-negations": ("true -> " + "!" * 98 + "on", "true -> " + "!" * 99 + "on"),
+}
+
+
+def nested_scenario(tmp_path, body: str) -> Path:
+    scenario = tmp_path / "nested.plu"
+    scenario.write_text(
+        f"oracle O\ndomain D = {{ a }}\natom on\nconstraint !on\nat 0 claim k = O: {body}\n"
+    )
+    return scenario
+
+
+@pytest.mark.parametrize("shape", list(NESTED))
+def test_a_claim_at_the_nesting_bound_runs_and_its_certificate_checks(tmp_path, capsys, shape):
+    scenario = nested_scenario(tmp_path, NESTED[shape][0])
+    trace = tmp_path / "nested.trace.json"
+    code, _, err = run_cli(capsys, "run", str(scenario), "--trace", str(trace))
+    assert (code, err) == (EXIT_DISCORD, "")
+    cert = tmp_path / "nested.cert-0.json"
+    code, out, err = run_cli(capsys, "check-certificate", str(cert), str(scenario))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("certificate verified: claim O: ")
+
+
+@pytest.mark.parametrize("shape", list(NESTED))
+def test_a_claim_past_the_nesting_bound_is_a_parse_error(tmp_path, capsys, shape):
+    scenario = nested_scenario(tmp_path, NESTED[shape][1])
+    trace = tmp_path / "nested.trace.json"
+    code, out, err = run_cli(capsys, "run", str(scenario), "--trace", str(trace))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("plurality: ") and err.endswith(
+        ": formula nests deeper than 100 levels\n"
+    )
+    assert err.count("\n") == 1
+
+
+def test_check_certificate_reports_a_body_past_the_nesting_bound(tmp_path, capsys):
+    scenario = nested_scenario(tmp_path, "on")
+    trace = tmp_path / "nested.trace.json"
+    assert run_cli(capsys, "run", str(scenario), "--trace", str(trace))[0] == EXIT_DISCORD
+    cert = tmp_path / "nested.cert-0.json"
+    doc = json.loads(cert.read_text())
+    doc["candidate"]["body"] = "!" * 102 + "on"
+    cert.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "check-certificate", str(cert), str(scenario))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert "formula nests deeper than 100 levels" in err and err.count("\n") == 1
 
 
 def test_check_certificate_rejects_malformed_file(tmp_path, capsys):

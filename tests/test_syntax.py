@@ -429,6 +429,61 @@ def test_formula_text_reparses():
 
 
 # ---------------------------------------------------------------------------
+# property: the nesting bound holds for the canonical text as documented
+
+
+def canonical_nesting(f) -> int:
+    """Levels ``formula_text(f)`` nests, counted as docs/format.md says."""
+    if isinstance(f, (And, Or, Implies)):
+        return 1 + max(canonical_nesting(f.lhs), 1 + canonical_nesting(f.rhs))
+    if isinstance(f, Not):
+        return 1 + canonical_nesting(f.sub)
+    if isinstance(f, (ForAll, Exists)):
+        return 2 + canonical_nesting(f.body)
+    if isinstance(f, Cmp):
+        return 1 + max(_term_nesting(f.lhs), _term_nesting(f.rhs))
+    if isinstance(f, Atom):
+        return _term_nesting(FnApp(f.name, f.args))
+    return 0
+
+
+def _term_nesting(t) -> int:
+    if isinstance(t, FnApp) and t.args:
+        return 1 + max(_term_nesting(a) for a in t.args)
+    return 0
+
+
+def _spine(rng, bound, length):
+    """A formula with one path of ``length`` connectives and quantifiers."""
+    if length <= 0:
+        return _random_formula(rng, bound, 1)
+    roll = rng.randrange(5)
+    if roll == 0:
+        return Not(_spine(rng, bound, length - 1))
+    if roll < 4:
+        kind, side = (And, Or, Implies)[roll - 1], _random_formula(rng, bound, 1)
+        inner = _spine(rng, bound, length - 1)
+        return kind(inner, side) if rng.random() < 0.5 else kind(side, inner)
+    var = f"v{len(bound)}"
+    kind = rng.choice((ForAll, Exists))
+    return kind(var, rng.choice(("D1", "D2")), _spine(rng, bound | {var}, length - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32))
+def test_canonical_text_nests_as_documented(seed):
+    rng = random.Random(seed)
+    ctx = _random_contract(rng)
+    f = _spine(rng, set(), rng.randrange(40, 80))
+    if canonical_nesting(f) <= 100:
+        assert parse_formula(formula_text(f), ctx) == f
+    else:
+        with pytest.raises(ParseError) as info:
+            parse_formula(formula_text(f), ctx)
+        assert info.value.msg == "formula nests deeper than 100 levels"
+
+
+# ---------------------------------------------------------------------------
 # property: printed text reparses however it is spaced and commented
 
 # The documented tokens; anything else is a one-character operator.

@@ -557,9 +557,9 @@ def connected_claims_oracle(claims, leaf: str, defs) -> list[Claim]:
     store and of every constraint clause, as the consistency check
     selected claims before it kept per-block records.
     """
-    groups = [_formula_clauses(c.body, defs, 100_000)[0] for c in claims]
+    groups = [_formula_clauses(c.body, defs)[0] for c in claims]
     for g in defs.constraints:
-        names, clauses = _formula_clauses(g, defs, 100_000)
+        names, clauses = _formula_clauses(g, defs)
         groups += [[names[abs(lit) - 1] for lit in cl] for cl in clauses]
     owners: dict[str, list[int]] = {}
     for i, atoms in enumerate(groups):

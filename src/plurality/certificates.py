@@ -1,23 +1,29 @@
 """Discord certificate serialization and independent replay checking.
 
 The checker deliberately does not reuse the resolution search: input
-steps are checked semantically (the cited source formula must entail
-the cited clause) and resolution steps are checked syntactically.
-Semantic questions go to a small DPLL over three-valued partial
-evaluation, so the cost of a check follows the atoms its formulas leave
+steps are checked by evaluation and resolution steps syntactically.  An
+input clause must follow from its cited source by simplification: under
+the assignment that makes every literal of the clause false, three-valued
+partial evaluation must turn one of the source's top-level conjuncts
+FALSE.  Every clause of the source's ground expansion in conjunctive
+normal form passes, and so does any clause containing one, which covers
+every clause the engine cites; a clause the source entails only
+semantically is refused, so replay never searches.  The minimality audit
+asks satisfiability questions of a small DPLL over the same partial
+evaluation, so its cost follows the atoms its formulas leave
 undetermined, not the size of the contract's ground universe; every
 model the search reports is confirmed with the formula evaluator.  The
 only code shared with the engine is that evaluator and ground expansion.
 
 Formulas are compiled into their top-level conjuncts: the constraints
-once per contract, a certificate's bodies once per replay or minimality
-audit.  A check searches its own formulas plus only the constraint
-conjuncts connected to their atoms.  This is exact: the other conjuncts
-share no atom with the search and are a subset of the constraints, so
-they are satisfiable whenever the constraints are, which is decided once
-per constraint set; when they are not, every check answers
-unsatisfiable, as a search over all of them would.  A cited source is
-sliced the same way.
+once per contract, a certificate's bodies once per verdict, in one view
+that the replay and the minimality audit share.  A satisfiability check
+searches its own formulas plus only the constraint conjuncts connected
+to their atoms.  This is exact: the other conjuncts share no atom with
+the search and are a subset of the constraints, so they are satisfiable
+whenever the constraints are, which is decided once per constraint set;
+when they are not, every check answers unsatisfiable, as a search over
+all of them would.
 """
 
 from __future__ import annotations
@@ -294,30 +300,43 @@ class _Part(NamedTuple):
 
 
 class _Audit:
-    """One replay's or minimality audit's view of a contract's formulas.
+    """One verdict's view of a contract's formulas.
 
     What derives from the constraints alone lives on the DefinitionSet
     (``_audit_cache``), built once per constraint tuple: the constraints'
-    atom ids, their compiled conjuncts, and an indexed conjunction of the
-    tuple and of each constraint in it.  The certificate's own atoms and
-    bodies go to this view's layers (``own``) and are dropped with it,
-    however the check ends.  Only the short-lived view refers to the
-    DefinitionSet, so the tables form no reference cycle with it.
+    atom ids, their compiled conjuncts, an indexed conjunction of the
+    tuple and of each constraint in it, and those conjunctions again by
+    the identity of the tuple and of each constraint.  The shared tables
+    hold these objects, so their ids stay unique: the contract's own
+    constraint tuple and formulas, which the parser hands out for a
+    constraint's text, are found without hashing them.  The
+    certificate's own atoms and bodies go to this view's layers (``own``)
+    and are dropped with it, however the check ends.  Only the
+    short-lived view refers to the DefinitionSet, so the tables form no
+    reference cycle with it.
     """
 
     def __init__(self, defs: DefinitionSet, constraints: tuple[Formula, ...] = ()):
         self.defs, constraints = defs, tuple(constraints)
         if defs._audit_cache is None:
-            defs._audit_cache = ({}, {}, {})  # atom ids, compiled formulas, conjunctions
+            # atom ids, compiled formulas, conjunctions, conjunctions by key id
+            defs._audit_cache = ({}, {}, {}, {})
         self.shared, self.own = defs._audit_cache, ({}, {}, {})
-        if constraints not in self.shared[2]:
-            # built before any certificate atom is numbered, then handed over
-            for formulas in (constraints, *((g,) for g in constraints)):
-                self.conjunction(formulas)
-            for theirs, mine in zip(self.shared, self.own):
-                theirs.update(mine)
-            self.own = ({}, {}, {})
-        self.background = self.shared[2][constraints]
+        background = self.shared[3].get(id(constraints))
+        if background is None:
+            if constraints not in self.shared[2]:
+                # built before any certificate atom is numbered, then handed over
+                for formulas in (constraints, *((g,) for g in constraints)):
+                    self.conjunction(formulas)
+                for theirs, mine in zip(self.shared, self.own):
+                    theirs.update(mine)
+                for formulas, conjunction in self.own[2].items():
+                    self.shared[3][id(formulas)] = conjunction
+                    if len(formulas) == 1:
+                        self.shared[3][id(formulas[0])] = conjunction
+                self.own = ({}, {}, {})
+            background = self.shared[2][constraints]
+        self.background = background
 
     def id_of(self, key: str) -> int:
         ids, own = self.shared[0], self.own[0]
@@ -343,6 +362,12 @@ class _Audit:
             )
         return got
 
+    def source(self, f: Formula) -> tuple[tuple[_Part, ...] | list[_Part], dict | None]:
+        """The top-level conjuncts of ``f`` and, for a constraint found by
+        identity, their index by atom."""
+        shared = self.shared[3].get(id(f))
+        return (shared.parts, shared.index) if shared else (self.compile(f), None)
+
     def _node(self, f: Formula, neg: bool, atoms: dict[int, str]):
         f, neg, kind, operands = _flat(f, neg)
         if kind is not None:
@@ -354,21 +379,19 @@ class _Audit:
         atoms[atom] = key
         return -atom if neg else atom
 
-    def satisfiable(self, formulas, fixed=None, background: _Conjunction | None = None) -> bool:
-        """Whether some assignment extending ``fixed`` satisfies every
-        formula and ``background`` (by default the constraints),
-        searching only the background's conjuncts connected to the atoms
-        of the formulas and of ``fixed``."""
+    def satisfiable(self, formulas) -> bool:
+        """Whether some assignment satisfies every formula and the
+        constraints, searching only the constraint conjuncts connected
+        to the atoms of the formulas."""
         parts = [p for f in formulas for p in self.compile(f)]
-        background = background or self.background
-        seed = [a for p in parts for a in p.atoms] + list(fixed or ())
-        parts += [background.parts[i] for i in background.component(seed)]
-        return self.confirmed(parts, fixed) and background.satisfiable(self)
+        seed = [a for p in parts for a in p.atoms]
+        parts += [self.background.parts[i] for i in self.background.component(seed)]
+        return self.confirmed(parts) and self.background.satisfiable(self)
 
-    def confirmed(self, parts: list[_Part], fixed: dict[int, bool] | None = None) -> bool:
-        """Search ``parts`` under ``fixed``; a model found is confirmed by
-        evaluating every part's residual form, unassigned atoms False."""
-        model = _search([p.node for p in parts], dict(fixed or {}))
+    def confirmed(self, parts: list[_Part]) -> bool:
+        """Search ``parts``; a model found is confirmed by evaluating
+        every part's residual form, unassigned atoms False."""
+        model = _search([p.node for p in parts], {})
         if model is None:
             return False
         full = {key: model.get(a, False) for p in parts for a, key in p.atoms.items()}
@@ -507,69 +530,73 @@ def _search(nodes: list, asg: dict[int, bool]) -> dict[int, bool] | None:
 # Replay
 
 
-def _entails_clause(audit: _Audit, source: Formula, clause, atom_ids: list[int]) -> bool:
-    """source |= clause: the source is unsatisfiable under the assignment
-    that falsifies the clause.
+def _entails_clause(source, clause, atom_ids: list[int]) -> bool:
+    """The conjuncts of ``source`` entail ``clause`` by simplification:
+    under the assignment that makes every literal of the clause false,
+    some conjunct simplifies to FALSE (or the clause is a tautology).
 
-    The search first simplifies the source under that assignment, which
-    settles the question when the source becomes FALSE; otherwise it
-    branches only on the atoms still undetermined, in the conjuncts of
-    the source connected to the clause.
+    Every clause of the source's CNF passes, by induction over the
+    connectives: a conjunction's clause falsifies one conjunct, a
+    disjunction's falsifies every disjunct.  With an index, only the
+    conjuncts that mention an assigned atom are simplified: the others
+    do not change, since expansion folds constants away below the root,
+    so a constant is always the sole conjunct.
     """
-    fixed: dict[int, bool] = {}
+    falsify: dict[int, bool] = {}
     tautology = False
     for lit in clause:
         if not 0 < abs(lit) <= len(atom_ids):
             raise ReplayFailed(f"literal {lit} indexes outside the atom table")
-        if fixed.setdefault(atom_ids[abs(lit) - 1], lit < 0) != (lit < 0):
+        if falsify.setdefault(atom_ids[abs(lit) - 1], lit < 0) != (lit < 0):
             tautology = True  # two literal ids name one atom with both signs
-    return tautology or not audit.satisfiable([], fixed, audit.conjunction((source,)))
+    parts, index = source
+    if index is not None and len(parts) > 1:
+        parts = [parts[i] for i in {i for atom in falsify for i in index.get(atom, ())}]
+    return tautology or any(_simplify(p.node, falsify) is False for p in parts)
 
 
 def replay_refutation(
     cert: DiscordCertificate,
     constraints: tuple[Formula, ...],
     defs: DefinitionSet,
+    *,
+    audit: _Audit | None = None,
 ) -> None:
     """Re-derive the certificate's conclusion from its own inputs.
 
-    Raises ReplayFailed unless every input clause follows from the claim
-    or constraint it cites, every resolution step is a correct resolvent
-    of earlier steps, and the final step is the empty clause.
+    Raises ReplayFailed unless every input clause follows by
+    simplification from the claim or constraint it cites, every
+    resolution step is a correct resolvent of earlier steps, and the
+    final step is the empty clause.  ``audit`` is the verdict's view
+    when ``check_certificate`` shares one; by default replay makes its
+    own.
     """
     r = cert.refutation
     if not r.steps:
         raise ReplayFailed("empty refutation trace")
     if r.used_claims != cert.conflict:
         raise ReplayFailed("refutation claims do not match the conflict set")
-    known = {formula_text(g) for g in constraints}
+    # the parser hands out the contract's own constraint for its text
+    if constraints is defs.constraints:
+        known = defs.constraint_texts()
+    else:
+        known = {formula_text(c) for c in constraints}
     for g in r.used_constraints:
-        if formula_text(g) not in known:
+        if not any(g is c for c in constraints) and formula_text(g) not in known:
             raise ReplayFailed(f"unknown constraint cited: {formula_text(g)}")
     if formula_text(r.conclusion) != formula_text(Not(cert.candidate.body)):
         raise ReplayFailed("conclusion is not the negation of the candidate body")
 
-    audit = _Audit(defs, constraints)
+    audit = audit or _Audit(defs, constraints)
     atom_ids = [audit.id_of(key) for key in r.atoms]
+    sources: dict[tuple, tuple] = {}  # each cited source's conjuncts, compiled once
     seen: list[tuple[int, ...]] = []
     for n, step in enumerate(r.steps):
         if step.rule == "input":
-            kind = step.source[0]
-            if kind == "claim":
-                idx = step.source[1]
-                if not 0 <= idx < len(cert.conflict):
-                    raise ReplayFailed(f"step {n} cites missing claim {idx}")
-                body = cert.conflict[idx].body
-            elif kind == "constraint":
-                idx = step.source[1]
-                if not 0 <= idx < len(r.used_constraints):
-                    raise ReplayFailed(f"step {n} cites missing constraint {idx}")
-                body = r.used_constraints[idx]
-            elif kind == "candidate":
-                body = cert.candidate.body
-            else:
-                raise ReplayFailed(f"step {n} has unknown source {step.source!r}")
-            if not _entails_clause(audit, body, step.clause, atom_ids):
+            source = sources.get(step.source)
+            if source is None:
+                source = sources[step.source] = audit.source(_source(cert, step.source, n))
+            if not _entails_clause(source, step.clause, atom_ids):
                 raise ReplayFailed(
                     f"step {n}: clause {list(step.clause)} does not follow from its source"
                 )
@@ -592,24 +619,43 @@ def replay_refutation(
         raise ReplayFailed("trace does not end in the empty clause")
 
 
+def _source(cert: DiscordCertificate, source: tuple, n: int) -> Formula:
+    """The formula input step ``n`` cites as ``source``."""
+    kind = source[0]
+    if kind == "claim":
+        if not 0 <= source[1] < len(cert.conflict):
+            raise ReplayFailed(f"step {n} cites missing claim {source[1]}")
+        return cert.conflict[source[1]].body
+    if kind == "constraint":
+        if not 0 <= source[1] < len(cert.refutation.used_constraints):
+            raise ReplayFailed(f"step {n} cites missing constraint {source[1]}")
+        return cert.refutation.used_constraints[source[1]]
+    if kind == "candidate":
+        return cert.candidate.body
+    raise ReplayFailed(f"step {n} has unknown source {source!r}")
+
+
 def check_minimality(
     cert: DiscordCertificate,
     constraints: tuple[Formula, ...],
     defs: DefinitionSet,
+    *,
+    audit: _Audit | None = None,
 ) -> None:
     """Audit that no proper subset of candidate + conflict suffices.
 
     Satisfiability is monotone under deletion, so every proper subset is
     satisfiable together with the constraints iff every subset that
     drops one member is: n searches for n members.  Raises NotMinimal
-    naming a member whose removal leaves a contradiction.
+    naming a member whose removal leaves a contradiction.  ``audit`` is
+    as for ``replay_refutation``.
 
     Assumes the store the certificate came from was itself consistent,
     which the runtime guarantees for published claims; against a broken
     store the blame cannot be pinned on the candidate and this audit
     (rightly) refuses the certificate.
     """
-    audit = _Audit(defs, constraints)
+    audit = audit or _Audit(defs, constraints)
     bodies = [c.body for c in cert.conflicting_claims]
     for i, member in enumerate(cert.conflicting_claims):
         if not audit.satisfiable(bodies[:i] + bodies[i + 1 :]):
@@ -621,6 +667,8 @@ def check_certificate(
     constraints: tuple[Formula, ...],
     defs: DefinitionSet,
 ) -> None:
-    """Full audit: replay the refutation, then audit minimality."""
-    replay_refutation(cert, constraints, defs)
-    check_minimality(cert, constraints, defs)
+    """Full audit: replay the refutation, then audit minimality, both in
+    one view, so each body is ground-expanded and compiled once."""
+    audit = _Audit(defs, constraints)
+    replay_refutation(cert, constraints, defs, audit=audit)
+    check_minimality(cert, constraints, defs, audit=audit)

@@ -35,8 +35,7 @@ from .certificates import (
     ReplayFailed,
     certificate_from_text,
     certificate_to_text,
-    check_minimality,
-    replay_refutation,
+    check_certificate,
 )
 from .logic import LogicError, claim_text
 from .runtime import TRACE_FORMAT, ConsistencyError, Engine, trace_human, trace_text
@@ -234,10 +233,8 @@ def cmd_check_certificate(args) -> int:
         return _err(f"malformed certificate: {e}")
 
     defs = scenario.contract.defs
-    constraints = defs.constraints
     try:
-        replay_refutation(cert, constraints, defs)
-        check_minimality(cert, constraints, defs)
+        check_certificate(cert, defs.constraints, defs)
     except ReplayFailed as e:
         print(f"replay failed: {e}")
         return EXIT_DISCORD

@@ -280,9 +280,11 @@ class DefinitionSet:
     atom table, compiled formulas and indexed conjunctions.  Consistency
     checks keep the claims each block id adds with their atom keys
     (``_block_claims``) and each constraint clause's atom keys
-    (``_constraint_atoms``).  No cache is ever invalidated, so all rely on
-    one rule: the parser is the only code that mutates a DefinitionSet,
-    and it finishes before the first ``refute`` or certificate check.
+    (``_constraint_atoms``).  ``constraint_texts`` maps each constraint's
+    canonical text to the constraint.  No cache is ever invalidated, so
+    all rely on one rule: the parser is the only code that mutates a
+    DefinitionSet, and it finishes before the first ``refute``,
+    certificate check or ``parse_formula`` against it.
     """
 
     domains: dict[str, tuple[Value, ...]] = field(default_factory=dict)
@@ -296,6 +298,13 @@ class DefinitionSet:
     _audit_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _block_claims: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _constraint_atoms: list | None = field(default=None, init=False, repr=False, compare=False)
+    _constraint_texts: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    def constraint_texts(self) -> dict[str, Formula]:
+        """Each constraint by its canonical text, built on first use."""
+        if self._constraint_texts is None:
+            self._constraint_texts = {formula_text(g): g for g in self.constraints}
+        return self._constraint_texts
 
     def domain_members(self, name: str) -> tuple[Value, ...]:
         try:
@@ -398,7 +407,10 @@ def _holds(f, leaf) -> bool:
     if isinstance(f, (Atom, Cmp)):
         return leaf(f)
     if isinstance(f, Not):
-        return not _holds(f.sub, leaf)
+        neg = False
+        while isinstance(f, Not):
+            f, neg = f.sub, not neg
+        return _holds(f, leaf) != neg
     if isinstance(f, (And, Or)):  # a quantifier's chain is as long as its domain: loop
         kind, stop, rest = type(f), isinstance(f, Or), [f.rhs]
         while isinstance(f := f.lhs, kind):
@@ -514,12 +526,24 @@ def _expand(f, defs, env, stack) -> Formula:
         if type(g) is list:
             return Atom(f.name, tuple(g))
         return _expand(g[0], defs, g[1], g[2]) if type(g) is tuple else g
+    # definitions can stack negations and chains past the nesting bound: loop, as _cnf does
     if isinstance(f, Not):
-        return _mk_not(_expand(f.sub, defs, env, stack))
-    if isinstance(f, And):
-        return _mk_and(_expand(f.lhs, defs, env, stack), _expand(f.rhs, defs, env, stack))
-    if isinstance(f, Or):
-        return _mk_or(_expand(f.lhs, defs, env, stack), _expand(f.rhs, defs, env, stack))
+        depth = 0
+        while isinstance(f, Not):
+            f, depth = f.sub, depth + 1
+        g = _expand(f, defs, env, stack)
+        for _ in range(depth):
+            g = _mk_not(g)
+        return g
+    if isinstance(f, (And, Or)):
+        kind, rest = type(f), [f.rhs]
+        join = _mk_and if kind is And else _mk_or
+        while type(f := f.lhs) is kind:
+            rest.append(f.rhs)
+        g = _expand(f, defs, env, stack)
+        while rest:  # the links' right operands, first link first
+            g = join(g, _expand(rest.pop(), defs, env, stack))
+        return g
     if isinstance(f, Implies):
         return _mk_implies(_expand(f.lhs, defs, env, stack), _expand(f.rhs, defs, env, stack))
     if isinstance(f, (ForAll, Exists)):
@@ -623,23 +647,17 @@ def atom_key(f: Formula) -> str:
 def residual_atoms(f: Formula) -> list[str]:
     """Ordered unique atom keys of a residual (expanded) formula."""
     seen: dict[str, None] = {}
-
-    def walk(g):
-        if isinstance(g, (TrueF, FalseF)):
-            return
+    todo = [f]  # a quantifier's chain is as long as its domain: no recursion
+    while todo:
+        g = todo.pop()
         if isinstance(g, (Atom, Cmp)):
             seen.setdefault(atom_key(g))
-            return
-        if isinstance(g, Not):
-            walk(g.sub)
-            return
-        if isinstance(g, (And, Or, Implies)):
-            walk(g.lhs)
-            walk(g.rhs)
-            return
-        raise LogicError(f"not residual: {formula_text(g)}")
-
-    walk(f)
+        elif isinstance(g, Not):
+            todo.append(g.sub)
+        elif isinstance(g, (And, Or, Implies)):
+            todo += (g.rhs, g.lhs)
+        elif not isinstance(g, (TrueF, FalseF)):
+            raise LogicError(f"not residual: {formula_text(g)}")
     return list(seen)
 
 

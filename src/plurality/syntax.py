@@ -444,8 +444,15 @@ class _Parser:
             if self.toks[self.pos] == "(":
                 self.pos += 1
                 args: list[Term] = []
-                while self.toks[self.pos] != ")":
-                    args.append(self._deeper(at + 1, 1, self.height, self.term, bound))
+                while (arg := self.toks[self.pos]) != ")":
+                    if arg.isidentifier() and self.toks[self.pos + 1] == "(":
+                        args.append(self._deeper(at + 1, 1, self.height, self.term, bound))
+                    elif self.depth < MAX_NESTING:  # a leaf: one level, no call of its own
+                        height = self.height
+                        args.append(self.term(bound))
+                        self.height = max(height, 1)
+                    else:
+                        self._too_deep(at + 1)
                     self.take(",")
                 self.pos += 1
                 return FnApp(tok, tuple(args))
@@ -847,8 +854,16 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
 
 
 def parse_formula(text: str, context) -> Formula:
-    """Parse one formula in the declaration context of a contract/scenario."""
+    """Parse one formula in the declaration context of a contract/scenario.
+
+    The exact canonical text of one of the contract's constraints gives
+    that constraint itself, so a certificate that cites it holds the
+    contract's own object.
+    """
     contract = context.contract if isinstance(context, Scenario) else context
+    known = contract.defs.constraint_texts().get(text)
+    if known is not None:
+        return known
     p = _Parser(text, contract)
     f = p.formula(set())
     if p.toks[p.pos] != _EOF:

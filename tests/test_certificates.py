@@ -32,7 +32,7 @@ from plurality.logic import (
     DefinitionSet,
     DiscordCertificate,
     Not,
-    atom_key,
+    ProofStep,
     formula_text,
     brute_force_satisfiable,
     minimize_conflict,
@@ -173,6 +173,27 @@ def test_replay_rejects_truncated_trace():
         replay_refutation(tampered, CTX.defs.constraints, CTX.defs)
 
 
+def test_replay_refuses_a_clause_entailed_only_semantically():
+    # (p | q) & (p | !q) entails p, but making p false leaves q and !q open
+    ctx = parse_contract("atom p\natom q\nconstraint !p\n")
+    d = ctx.defs
+    cand = Claim("O", parse_formula("(p | q) & (p | !q)", ctx))
+    cert = minimize_conflict((), d.constraints, cand, d)
+    check_certificate(cert, d.constraints, d)  # the engine cites (p | q) and (p | !q)
+    p = cert.refutation.atoms.index("p") + 1
+    shortcut = dataclasses.replace(
+        cert.refutation,
+        steps=(
+            ProofStep("input", (p,), source=("candidate",)),
+            ProofStep("input", (-p,), source=("constraint", 0)),
+            ProofStep("resolve", (), premises=(0, 1)),
+        ),
+    )
+    assert brute_force_satisfiable([cand.body, Not(Atom("p"))], d) is None
+    with pytest.raises(ReplayFailed, match=rf"step 0: clause \[{p}\] does not follow"):
+        replay_refutation(dataclasses.replace(cert, refutation=shortcut), d.constraints, d)
+
+
 def with_member(cert, pad: Claim):
     """The certificate with one more conflict member; its proof still replays."""
     return dataclasses.replace(
@@ -271,12 +292,11 @@ def test_search_agrees_with_enumeration(seed):
     names, d, formulas = random_ground_set(rng, rng.randrange(0, 5))
     audit = _Audit(d)
     assert audit.satisfiable(formulas) == (brute_force_satisfiable(formulas, d) is not None)
-    # under a partial assignment, the way the entailment check asks
+    # under a partial assignment, given as unit literals
     fixed = {n: rng.random() < 0.5 for n in rng.sample(names, rng.randrange(len(names) + 1))}
     literals = [Atom(n) if v else Not(Atom(n)) for n, v in fixed.items()]
     want = brute_force_satisfiable(formulas + literals, d) is not None
-    ids = {audit.id_of(atom_key(Atom(n))): v for n, v in fixed.items()}
-    assert audit.satisfiable(formulas, ids) == want
+    assert audit.satisfiable(formulas + literals) == want
 
 
 def test_drop_one_minimality_matches_subset_enumeration():
@@ -459,8 +479,8 @@ def test_auditor_agrees_with_the_reference_warm_and_cold():
 @settings(max_examples=200, deadline=None)
 @given(SEEDS)
 def test_entailment_from_a_sliced_source_agrees_with_enumeration(seed):
-    # a source whose conjuncts over the h atoms are not connected to the
-    # clause: when that part is contradictory the source entails anything
+    # a constraint whose conjuncts over the h atoms are not connected to
+    # the literals: when that part is contradictory every check fails
     rng = random.Random(seed)
     d = contract_defs()
     near = random_ground_formula(rng, GS[:3], 2)
@@ -470,10 +490,8 @@ def test_entailment_from_a_sliced_source_agrees_with_enumeration(seed):
     source = And(near, far) if rng.random() < 0.5 else And(far, near)
     fixed = {n: rng.random() < 0.5 for n in rng.sample(GS[:3], rng.randrange(4))}
     literals = [Atom(n) if v else Not(Atom(n)) for n, v in fixed.items()]
-    audit = _Audit(d)
-    ids = {audit.id_of(atom_key(Atom(n))): v for n, v in fixed.items()}
     want = brute_force_satisfiable([source] + literals, d) is not None
-    assert audit.satisfiable([], ids, audit.conjunction((source,))) == want
+    assert _Audit(d, (source,)).satisfiable(literals) == want
 
 
 def test_a_check_leaves_no_cyclic_garbage():
@@ -547,10 +565,23 @@ def test_later_checks_follow_the_certificate_not_the_universe(monkeypatch):
     for cert in certs[1:]:
         check_certificate(cert, defs.constraints, defs)
     # only the two claim bodies of each certificate are grounded, once
-    # for the replay and once for the minimality audit
-    assert len(expanded) == 8 and len(set(expanded)) == 4
+    # per verdict: the replay and the minimality audit share one view
+    assert len(expanded) == 4 and len(set(expanded)) == 4
     assert not set(expanded) & set(defs.constraints)
     assert searched and max(len(atoms) for atoms in searched) <= 3
+    # replay evaluates: it never searches, and it simplifies only the
+    # conjuncts that mention an atom of the clause, not all 72 of the constraint
+    searched.clear()
+    simplified = []
+    real_simplify = certificates._simplify
+    monkeypatch.setattr(
+        certificates, "_simplify", lambda node, asg: simplified.append(node) or real_simplify(node, asg)
+    )
+    for cert in certs:
+        simplified.clear()
+        replay_refutation(cert, defs.constraints, defs)
+        assert len(simplified) <= 4 * len(cert.refutation.steps)
+    assert searched == []
 
 
 def test_certificates_leave_nothing_behind_in_the_contract_cache():

@@ -319,6 +319,19 @@ def test_a_closed_guard_over_a_wide_domain_is_read_without_deep_recursion(tmp_pa
     assert "x (action): published block" in out
 
 
+def test_a_closed_guard_through_a_chain_of_negated_definitions_is_read(tmp_path, capsys):
+    # each definition nests 90 levels, within the bound; the chain of twelve nests 1,080
+    lines = ["agent W balance 50", "agent A", "predicate q0() := " + "!" * 90 + "true"]
+    lines += [f"predicate q{i}() := " + "!" * 90 + f"q{i - 1}()" for i in range(1, 12)]
+    lines.append("issue x = tx W -(1)[q11()]-> A")
+    scenario = tmp_path / "negations.plu"
+    scenario.write_text("\n".join(lines) + "\n")
+    trace = tmp_path / "negations.trace.json"
+    code, out, err = run_cli(capsys, "run", str(scenario), "--trace", str(trace))
+    assert (code, err) == (EXIT_OK, "")
+    assert "x (action): published block" in out
+
+
 def test_a_constraint_over_a_wide_domain_gives_its_claim_a_verdict(tmp_path, capsys):
     out = run_wide(
         tmp_path,
@@ -423,6 +436,25 @@ def test_check_certificate_reports_a_body_past_the_nesting_bound(tmp_path, capsy
     code, out, err = run_cli(capsys, "check-certificate", str(cert), str(scenario))
     assert (code, out) == (EXIT_ERROR, "")
     assert "formula nests deeper than 100 levels" in err and err.count("\n") == 1
+
+
+def test_check_certificate_refuses_a_pigeonhole_body_without_searching(capsys):
+    # PHP(9, 8) is unsatisfiable, so its empty clause follows semantically,
+    # but not by simplification; a search for it took seconds
+    fixtures = Path(__file__).resolve().parent / "fixtures"
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys,
+        "check-certificate",
+        str(fixtures / "pigeonhole.cert.json"),
+        str(fixtures / "pigeonhole.plu"),
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (
+        EXIT_DISCORD,
+        "replay failed: step 0: clause [] does not follow from its source\n",
+        "",
+    )
 
 
 def test_check_certificate_rejects_malformed_file(tmp_path, capsys):

@@ -940,6 +940,46 @@ def test_a_clause_overflow_over_a_large_domain_is_a_resource_limit():
         _formula_clauses(body, d)
 
 
+def test_enumeration_over_a_large_domain_is_a_resource_limit():
+    # the atom walk runs before the limit check, over a chain as long as the domain
+    d = DefinitionSet(domains={"Big": tuple(f"m{i}" for i in range(1200))}, atoms={"st": 1})
+    with pytest.raises(ResourceLimit, match="1200 atoms exceeds enumeration limit 22"):
+        brute_force_satisfiable([Exists("c", "Big", Atom("st", (Var("c"),)))], d)
+
+
+def stacked_definitions(base, wrap) -> DefinitionSet:
+    """Twelve predicates, each ``wrap`` of the one before, the first of ``base``."""
+    d = DefinitionSet(atoms={"p": 0, "q": 0})
+    for i in range(12):
+        body = wrap(Atom(f"q{i - 1}") if i else base)
+        d.predicates[f"q{i}"] = PredicateDef(f"q{i}", (), body)
+    return d
+
+
+def negations(f, n=90):
+    for _ in range(n):
+        f = Not(f)
+    return f
+
+
+def conjunction(f, n=90):
+    for _ in range(n):
+        f = And(f, Atom("q"))
+    return f
+
+
+def test_definitions_stacked_past_the_bound_expand_and_evaluate_without_deep_recursion():
+    d = stacked_definitions(Atom("p"), negations)
+    assert evaluate(Atom("q11"), Model(asserted={("p", ())}), d)
+    assert not evaluate(Atom("q11"), Model(), d)
+    assert residual_atoms(ground_expand(Atom("q11"), d)) == ["p"]
+    assert ground_expand(Atom("q11"), stacked_definitions(TrueF(), negations)) == TrueF()
+    d = stacked_definitions(Atom("p"), conjunction)
+    assert evaluate(Atom("q11"), Model(asserted={("p", ()), ("q", ())}), d)
+    assert not evaluate(Atom("q11"), Model(asserted={("p", ())}), d)
+    assert residual_atoms(ground_expand(Atom("q11"), d)) == ["p", "q"]
+
+
 # --- eval_residual against the recursive reader it replaced -----------------
 
 

@@ -304,39 +304,27 @@ class _Audit:
 
     What derives from the constraints alone lives on the DefinitionSet
     (``_audit_cache``), built once per constraint tuple: the constraints'
-    atom ids, their compiled conjuncts, an indexed conjunction of the
-    tuple and of each constraint in it, and those conjunctions again by
-    the identity of the tuple and of each constraint.  The shared tables
-    hold these objects, so their ids stay unique: the contract's own
-    constraint tuple and formulas, which the parser hands out for a
-    constraint's text, are found without hashing them.  The
-    certificate's own atoms and bodies go to this view's layers (``own``)
-    and are dropped with it, however the check ends.  Only the
-    short-lived view refers to the DefinitionSet, so the tables form no
-    reference cycle with it.
+    atom ids, their compiled conjuncts, and an indexed conjunction of the
+    tuple and of each constraint in it.  The certificate's own atoms and
+    bodies go to this view's layers (``own``) and are dropped with it,
+    however the check ends.  Only the short-lived view refers to the
+    DefinitionSet, so the tables form no reference cycle with it.
     """
 
     def __init__(self, defs: DefinitionSet, constraints: tuple[Formula, ...] = ()):
         self.defs, constraints = defs, tuple(constraints)
         if defs._audit_cache is None:
-            # atom ids, compiled formulas, conjunctions, conjunctions by key id
-            defs._audit_cache = ({}, {}, {}, {})
+            defs._audit_cache = ({}, {}, {})  # atom ids, compiled formulas, conjunctions
         self.shared, self.own = defs._audit_cache, ({}, {}, {})
-        background = self.shared[3].get(id(constraints))
-        if background is None:
-            if constraints not in self.shared[2]:
-                # built before any certificate atom is numbered, then handed over
-                for formulas in (constraints, *((g,) for g in constraints)):
-                    self.conjunction(formulas)
-                for theirs, mine in zip(self.shared, self.own):
-                    theirs.update(mine)
-                for formulas, conjunction in self.own[2].items():
-                    self.shared[3][id(formulas)] = conjunction
-                    if len(formulas) == 1:
-                        self.shared[3][id(formulas[0])] = conjunction
-                self.own = ({}, {}, {})
-            background = self.shared[2][constraints]
-        self.background = background
+        self.background = self.shared[2].get(constraints)
+        if self.background is None:
+            # built before any certificate atom is numbered, then handed over
+            for formulas in (constraints, *((g,) for g in constraints)):
+                self.conjunction(formulas)
+            for theirs, mine in zip(self.shared, self.own):
+                theirs.update(mine)
+            self.own = ({}, {}, {})
+            self.background = self.shared[2][constraints]
 
     def id_of(self, key: str) -> int:
         ids, own = self.shared[0], self.own[0]
@@ -361,12 +349,6 @@ class _Audit:
                 [p for f in formulas for p in self.compile(f)]
             )
         return got
-
-    def source(self, f: Formula) -> tuple[tuple[_Part, ...] | list[_Part], dict | None]:
-        """The top-level conjuncts of ``f`` and, for a constraint found by
-        identity, their index by atom."""
-        shared = self.shared[3].get(id(f))
-        return (shared.parts, shared.index) if shared else (self.compile(f), None)
 
     def _node(self, f: Formula, neg: bool, atoms: dict[int, str]):
         f, neg, kind, operands = _flat(f, neg)
@@ -576,14 +558,13 @@ def replay_refutation(
         raise ReplayFailed("empty refutation trace")
     if r.used_claims != cert.conflict:
         raise ReplayFailed("refutation claims do not match the conflict set")
-    # the parser hands out the contract's own constraint for its text
-    if constraints is defs.constraints:
-        known = defs.constraint_texts()
-    else:
-        known = {formula_text(c) for c in constraints}
+    known = None  # rendered on the first cited constraint that is not one of these objects
     for g in r.used_constraints:
-        if not any(g is c for c in constraints) and formula_text(g) not in known:
-            raise ReplayFailed(f"unknown constraint cited: {formula_text(g)}")
+        if not any(g is c for c in constraints):
+            if known is None:
+                known = {formula_text(c) for c in constraints}
+            if formula_text(g) not in known:
+                raise ReplayFailed(f"unknown constraint cited: {formula_text(g)}")
     if formula_text(r.conclusion) != formula_text(Not(cert.candidate.body)):
         raise ReplayFailed("conclusion is not the negation of the candidate body")
 
@@ -595,7 +576,7 @@ def replay_refutation(
         if step.rule == "input":
             source = sources.get(step.source)
             if source is None:
-                source = sources[step.source] = audit.source(_source(cert, step.source, n))
+                source = sources[step.source] = _source(audit, cert, step.source, n)
             if not _entails_clause(source, step.clause, atom_ids):
                 raise ReplayFailed(
                     f"step {n}: clause {list(step.clause)} does not follow from its source"
@@ -619,19 +600,21 @@ def replay_refutation(
         raise ReplayFailed("trace does not end in the empty clause")
 
 
-def _source(cert: DiscordCertificate, source: tuple, n: int) -> Formula:
-    """The formula input step ``n`` cites as ``source``."""
+def _source(audit: _Audit, cert: DiscordCertificate, source: tuple, n: int):
+    """The top-level conjuncts of the formula input step ``n`` cites as
+    ``source`` and, for a constraint, their index by atom."""
     kind = source[0]
     if kind == "claim":
         if not 0 <= source[1] < len(cert.conflict):
             raise ReplayFailed(f"step {n} cites missing claim {source[1]}")
-        return cert.conflict[source[1]].body
+        return audit.compile(cert.conflict[source[1]].body), None
     if kind == "constraint":
         if not 0 <= source[1] < len(cert.refutation.used_constraints):
             raise ReplayFailed(f"step {n} cites missing constraint {source[1]}")
-        return cert.refutation.used_constraints[source[1]]
+        conjunction = audit.conjunction((cert.refutation.used_constraints[source[1]],))
+        return conjunction.parts, conjunction.index
     if kind == "candidate":
-        return cert.candidate.body
+        return audit.compile(cert.candidate.body), None
     raise ReplayFailed(f"step {n} has unknown source {source!r}")
 
 

@@ -280,11 +280,11 @@ class DefinitionSet:
     atom table, compiled formulas and indexed conjunctions.  Consistency
     checks keep the claims each block id adds with their atom keys
     (``_block_claims``) and each constraint clause's atom keys
-    (``_constraint_atoms``).  ``constraint_texts`` maps each constraint's
-    canonical text to the constraint.  No cache is ever invalidated, so
-    all rely on one rule: the parser is the only code that mutates a
-    DefinitionSet, and it finishes before the first ``refute``,
-    certificate check or ``parse_formula`` against it.
+    (``_constraint_atoms``).  No cache is ever invalidated, so all rely on
+    one rule: the parser is the only code that mutates a DefinitionSet,
+    and it finishes before the first ``refute`` or certificate check.
+    ``constraint_texts`` is the exception: it keeps the tuple it was
+    built from and is rebuilt when ``constraints`` is replaced.
     """
 
     domains: dict[str, tuple[Value, ...]] = field(default_factory=dict)
@@ -298,13 +298,14 @@ class DefinitionSet:
     _audit_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _block_claims: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _constraint_atoms: list | None = field(default=None, init=False, repr=False, compare=False)
-    _constraint_texts: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _constraint_texts: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def constraint_texts(self) -> dict[str, Formula]:
-        """Each constraint by its canonical text, built on first use."""
-        if self._constraint_texts is None:
-            self._constraint_texts = {formula_text(g): g for g in self.constraints}
-        return self._constraint_texts
+        """Each constraint by its canonical text."""
+        if self._constraint_texts is None or self._constraint_texts[0] is not self.constraints:
+            texts = {formula_text(g): g for g in self.constraints}
+            self._constraint_texts = (self.constraints, texts)
+        return self._constraint_texts[1]
 
     def domain_members(self, name: str) -> tuple[Value, ...]:
         try:

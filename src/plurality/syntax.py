@@ -857,8 +857,8 @@ def parse_formula(text: str, context) -> Formula:
     """Parse one formula in the declaration context of a contract/scenario.
 
     The exact canonical text of one of the contract's constraints gives
-    that constraint itself, so a certificate that cites it holds the
-    contract's own object.
+    that constraint, which is what parsing the text would build, without
+    parsing it: certificates cite their constraints by that text.
     """
     contract = context.contract if isinstance(context, Scenario) else context
     known = contract.defs.constraint_texts().get(text)

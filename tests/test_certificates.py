@@ -162,6 +162,24 @@ def test_replay_rejects_foreign_constraints():
     cert = rank_conflict()
     with pytest.raises(ReplayFailed):
         replay_refutation(cert, (), CTX.defs)  # constraints withheld
+    # a read certificate, after a warm check, against another tuple
+    read = certificate_from_text(certificate_to_text(cert), _parse)
+    check_certificate(read, CTX.defs.constraints, CTX.defs)
+    for constraints in ((), (_parse("!license(A)"),)):
+        with pytest.raises(ReplayFailed, match="unknown constraint cited"):
+            replay_refutation(read, constraints, CTX.defs)
+
+
+def test_replacing_the_constraints_replaces_the_texts_the_parser_knows():
+    ctx = parse_contract(CTX_TEXT)
+    text = certificate_to_text(rank_conflict())
+    cert = certificate_from_text(text, lambda t: parse_formula(t, ctx))
+    assert cert.refutation.used_constraints[0] is ctx.defs.constraints[0]
+    check_certificate(cert, ctx.defs.constraints, ctx.defs)
+    ctx.defs.constraints = (parse_formula("!license(A)", ctx),)
+    again = certificate_from_text(text, lambda t: parse_formula(t, ctx))
+    with pytest.raises(ReplayFailed, match="unknown constraint cited"):
+        replay_refutation(again, ctx.defs.constraints, ctx.defs)
 
 
 def test_replay_rejects_truncated_trace():

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from plurality import certificates
 from plurality.cli import (
     EXIT_DISCORD,
     EXIT_ERROR,
@@ -438,23 +439,24 @@ def test_check_certificate_reports_a_body_past_the_nesting_bound(tmp_path, capsy
     assert "formula nests deeper than 100 levels" in err and err.count("\n") == 1
 
 
-def test_check_certificate_refuses_a_pigeonhole_body_without_searching(capsys):
+def test_check_certificate_refuses_a_pigeonhole_body_without_searching(capsys, monkeypatch):
     # PHP(9, 8) is unsatisfiable, so its empty clause follows semantically,
     # but not by simplification; a search for it took seconds
     fixtures = Path(__file__).resolve().parent / "fixtures"
-    start = time.perf_counter()
+    searches = []
+    monkeypatch.setattr(certificates, "_search", lambda *args: searches.append(args))
     code, out, err = run_cli(
         capsys,
         "check-certificate",
         str(fixtures / "pigeonhole.cert.json"),
         str(fixtures / "pigeonhole.plu"),
     )
-    assert time.perf_counter() - start < 1.0
     assert (code, out, err) == (
         EXIT_DISCORD,
         "replay failed: step 0: clause [] does not follow from its source\n",
         "",
     )
+    assert searches == []
 
 
 def test_check_certificate_rejects_malformed_file(tmp_path, capsys):

@@ -11,19 +11,22 @@ every clause the engine cites; a clause the source entails only
 semantically is refused, so replay never searches.  The minimality audit
 asks satisfiability questions of a small DPLL over the same partial
 evaluation, so its cost follows the atoms its formulas leave
-undetermined, not the size of the contract's ground universe; every
-model the search reports is confirmed with the formula evaluator.  The
-only code shared with the engine is that evaluator and ground expansion.
+undetermined, not the size of the contract's ground universe; each search
+stops with ResourceLimit after ``MAX_SEARCH_STEPS`` steps, and every model
+it reports is confirmed with the formula evaluator.  The only code shared
+with the engine is that evaluator and ground expansion.
 
-Formulas are compiled into their top-level conjuncts: the constraints
-once per contract, a certificate's bodies once per verdict, in one view
-that the replay and the minimality audit share.  A satisfiability check
-searches its own formulas plus only the constraint conjuncts connected
-to their atoms.  This is exact: the other conjuncts share no atom with
-the search and are a subset of the constraints, so they are satisfiable
-whenever the constraints are, which is decided once per constraint set;
-when they are not, every check answers unsatisfiable, as a search over
-all of them would.
+What derives from the constraints alone is one immutable ``_Background``
+per constraint tuple, built by the first check against it; a
+certificate's bodies are compiled once per verdict, in one view that the
+replay and the minimality audit share.  Replay finds a cited constraint
+by structural equality in the contract's tuple.  A satisfiability check
+searches its own formulas plus only the constraint conjuncts connected to
+their atoms.  This is exact: the other conjuncts share no atom with the
+search and are a subset of the constraints, so they are satisfiable
+whenever the constraints are, which the background decides once; when
+they are not, every check answers unsatisfiable, as a search over all of
+them would.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .logic import (
     Or,
     ProofStep,
     Refutation,
+    ResourceLimit,
     TrueF,
     atom_key,
     claim_text,
@@ -54,6 +58,7 @@ from .logic import (
 )
 
 CERTIFICATE_FORMAT = "plurality-discord-certificate/1"
+MAX_SEARCH_STEPS = 1000  # stack pops per search: engine certificates need a few
 
 
 class CertificateError(Exception):
@@ -299,101 +304,65 @@ class _Part(NamedTuple):
     atoms: dict[int, str]
 
 
-class _Audit:
-    """One verdict's view of a contract's formulas.
-
-    What derives from the constraints alone lives on the DefinitionSet
-    (``_audit_cache``), built once per constraint tuple: the constraints'
-    atom ids, their compiled conjuncts, and an indexed conjunction of the
-    tuple and of each constraint in it.  The certificate's own atoms and
-    bodies go to this view's layers (``own``) and are dropped with it,
-    however the check ends.  Only the short-lived view refers to the
-    DefinitionSet, so the tables form no reference cycle with it.
-    """
-
-    def __init__(self, defs: DefinitionSet, constraints: tuple[Formula, ...] = ()):
-        self.defs, constraints = defs, tuple(constraints)
-        if defs._audit_cache is None:
-            defs._audit_cache = ({}, {}, {})  # atom ids, compiled formulas, conjunctions
-        self.shared, self.own = defs._audit_cache, ({}, {}, {})
-        self.background = self.shared[2].get(constraints)
-        if self.background is None:
-            # built before any certificate atom is numbered, then handed over
-            for formulas in (constraints, *((g,) for g in constraints)):
-                self.conjunction(formulas)
-            for theirs, mine in zip(self.shared, self.own):
-                theirs.update(mine)
-            self.own = ({}, {}, {})
-            self.background = self.shared[2][constraints]
-
-    def id_of(self, key: str) -> int:
-        ids, own = self.shared[0], self.own[0]
-        return ids.get(key) or own.setdefault(key, len(ids) + len(own) + 1)
-
-    def compile(self, f: Formula) -> tuple[_Part, ...]:
-        """The top-level conjuncts of ``f`` after ground expansion."""
-        got = self.shared[1].get(f) or self.own[1].get(f)
-        if got is None:
-            top, neg, kind, operands = _flat(ground_expand(f, self.defs), False)
-            parts = []
-            for g, gneg in operands if kind == "and" else [(top, neg)]:
-                atoms: dict[int, str] = {}
-                parts.append(_Part(Not(g) if gneg else g, self._node(g, gneg, atoms), atoms))
-            got = self.own[1][f] = tuple(parts)
-        return got
-
-    def conjunction(self, formulas: tuple[Formula, ...]) -> _Conjunction:
-        got = self.shared[2].get(formulas) or self.own[2].get(formulas)
-        if got is None:
-            got = self.own[2][formulas] = _Conjunction(
-                [p for f in formulas for p in self.compile(f)]
-            )
-        return got
-
-    def _node(self, f: Formula, neg: bool, atoms: dict[int, str]):
-        f, neg, kind, operands = _flat(f, neg)
-        if kind is not None:
-            return (kind, tuple(self._node(g, gneg, atoms) for g, gneg in operands))
-        if isinstance(f, (TrueF, FalseF)):
-            return isinstance(f, TrueF) != neg
-        key = atom_key(f)
-        atom = self.id_of(key)
-        atoms[atom] = key
-        return -atom if neg else atom
-
-    def satisfiable(self, formulas) -> bool:
-        """Whether some assignment satisfies every formula and the
-        constraints, searching only the constraint conjuncts connected
-        to the atoms of the formulas."""
-        parts = [p for f in formulas for p in self.compile(f)]
-        seed = [a for p in parts for a in p.atoms]
-        parts += [self.background.parts[i] for i in self.background.component(seed)]
-        return self.confirmed(parts) and self.background.satisfiable(self)
-
-    def confirmed(self, parts: list[_Part]) -> bool:
-        """Search ``parts``; a model found is confirmed by evaluating
-        every part's residual form, unassigned atoms False."""
-        model = _search([p.node for p in parts], {})
-        if model is None:
-            return False
-        full = {key: model.get(a, False) for p in parts for a, key in p.atoms.items()}
-        if not all(eval_residual(p.residual, full) for p in parts):
-            raise RuntimeError("the search returned an assignment that is not a model")
-        return True
+def _compile(f: Formula, defs: DefinitionSet, id_of) -> tuple[_Part, ...]:
+    """The top-level conjuncts of ``f`` after ground expansion, each atom
+    numbered by ``id_of(key)``."""
+    top, neg, kind, operands = _flat(ground_expand(f, defs), False)
+    parts = []
+    for g, gneg in operands if kind == "and" else [(top, neg)]:
+        atoms: dict[int, str] = {}
+        parts.append(_Part(Not(g) if gneg else g, _node(g, gneg, atoms, id_of), atoms))
+    return tuple(parts)
 
 
-class _Conjunction:
-    """The conjuncts of some formulas, indexed by the atoms they mention,
-    and whether they are satisfiable alone, decided on first use one
-    connected component at a time."""
+def _node(f: Formula, neg: bool, atoms: dict[int, str], id_of):
+    f, neg, kind, operands = _flat(f, neg)
+    if kind is not None:
+        return (kind, tuple(_node(g, gneg, atoms, id_of) for g, gneg in operands))
+    if isinstance(f, (TrueF, FalseF)):
+        return isinstance(f, TrueF) != neg
+    key = atom_key(f)
+    atom = id_of(key)
+    atoms[atom] = key
+    return -atom if neg else atom
 
-    def __init__(self, parts: list[_Part]):
-        self.parts = parts
+
+def _confirmed(parts: list[_Part]) -> bool:
+    """Search ``parts``; a model found is confirmed by evaluating every
+    part's residual form, unassigned atoms False."""
+    model = _search([p.node for p in parts], {})
+    if model is None:
+        return False
+    full = {key: model.get(a, False) for p in parts for a, key in p.atoms.items()}
+    if not all(eval_residual(p.residual, full) for p in parts):
+        raise RuntimeError("the search returned an assignment that is not a model")
+    return True
+
+
+class _Background:
+    """What checks derive from one constraint tuple alone, built by the
+    first check against it and never changed: atom ids, compiled conjuncts
+    (``spans[j]`` holds constraint j's), their index by atom, and ``sat``,
+    whether the constraints alone are satisfiable.  It keeps the tuple but
+    not the DefinitionSet, so it forms no reference cycle with it."""
+
+    def __init__(self, constraints: tuple[Formula, ...], defs: DefinitionSet):
+        self.constraints, self.ids, self.parts, self.spans = constraints, {}, [], []
+        for g in constraints:
+            start = len(self.parts)
+            self.parts += _compile(g, defs, lambda key: self.ids.setdefault(key, len(self.ids) + 1))
+            self.spans.append(range(start, len(self.parts)))
         self.index: dict[int, list[int]] = {}
-        for i, p in enumerate(parts):
+        for i, p in enumerate(self.parts):
             for a in p.atoms:
                 self.index.setdefault(a, []).append(i)
-        self.sat: bool | None = None
+        done: set[int] = set()
+        self.sat = True
+        for i, p in enumerate(self.parts):
+            if self.sat and i not in done:
+                component = self.component(p.atoms) or [i]
+                done.update(component)
+                self.sat = _confirmed([self.parts[j] for j in component])
 
     def component(self, atoms) -> list[int]:
         """Positions of the conjuncts connected to ``atoms``, in order."""
@@ -407,16 +376,37 @@ class _Conjunction:
                     seen.update(self.parts[i].atoms)
         return sorted(picked)
 
-    def satisfiable(self, audit: _Audit) -> bool:
-        if self.sat is None:
-            done: set[int] = set()
-            self.sat = True
-            for i, p in enumerate(self.parts):
-                if self.sat and i not in done:
-                    component = self.component(p.atoms) or [i]
-                    done.update(component)
-                    self.sat = audit.confirmed([self.parts[j] for j in component])
-        return self.sat
+
+class _Audit:
+    """One verdict's view: the contract's background, in ``_audit_cache``
+    and built again only for another constraint tuple, plus the atom ids
+    and compiled bodies the certificate brings, dropped with the view."""
+
+    def __init__(self, defs: DefinitionSet, constraints: tuple[Formula, ...] = ()):
+        background = defs._audit_cache
+        if background is None or background.constraints is not constraints:
+            background = defs._audit_cache = _Background(constraints, defs)
+        self.defs, self.background, self.ids, self.compiled = defs, background, {}, {}
+
+    def id_of(self, key: str) -> int:
+        ids = self.background.ids
+        return ids.get(key) or self.ids.setdefault(key, len(ids) + len(self.ids) + 1)
+
+    def compile(self, f: Formula) -> tuple[_Part, ...]:
+        got = self.compiled.get(f)
+        if got is None:
+            got = self.compiled[f] = _compile(f, self.defs, self.id_of)
+        return got
+
+    def satisfiable(self, formulas) -> bool:
+        """Whether some assignment satisfies every formula and the
+        constraints, searching only the constraint conjuncts connected
+        to the atoms of the formulas."""
+        background = self.background
+        parts = [p for f in formulas for p in self.compile(f)]
+        seed = [a for p in parts for a in p.atoms]
+        parts += [background.parts[i] for i in background.component(seed)]
+        return background.sat and _confirmed(parts)
 
 
 def _simplify(node, asg: dict[int, bool]):
@@ -489,10 +479,14 @@ def _search(nodes: list, asg: dict[int, bool]) -> dict[int, bool] | None:
     """DPLL with an explicit stack: an assignment extending ``asg`` that
     satisfies every node, or None.
 
-    Branches on the first atom of the first open node, True first.
+    Branches on the first atom of the first open node, True first, and
+    raises ResourceLimit once ``MAX_SEARCH_STEPS`` stack pops leave the
+    question open.
     """
     stack = [(nodes, asg, dict(asg))]
-    while stack:
+    for _ in range(MAX_SEARCH_STEPS):
+        if not stack:
+            return None
         nodes, asg, delta = stack.pop()
         nodes = _propagate(nodes, asg, delta)
         if nodes is None:
@@ -505,6 +499,8 @@ def _search(nodes: list, asg: dict[int, bool]) -> dict[int, bool] | None:
         atom = abs(atom)
         stack.append((nodes, {**asg, atom: False}, {atom: False}))
         stack.append((nodes, {**asg, atom: True}, {atom: True}))
+    if stack:
+        raise ResourceLimit(f"the audit's search took more than {MAX_SEARCH_STEPS} steps")
     return None
 
 
@@ -531,10 +527,10 @@ def _entails_clause(source, clause, atom_ids: list[int]) -> bool:
             raise ReplayFailed(f"literal {lit} indexes outside the atom table")
         if falsify.setdefault(atom_ids[abs(lit) - 1], lit < 0) != (lit < 0):
             tautology = True  # two literal ids name one atom with both signs
-    parts, index = source
-    if index is not None and len(parts) > 1:
-        parts = [parts[i] for i in {i for atom in falsify for i in index.get(atom, ())}]
-    return tautology or any(_simplify(p.node, falsify) is False for p in parts)
+    parts, span, index = source
+    if index is not None and len(span) > 1:
+        span = {i for atom in falsify for i in index.get(atom, ()) if i in span}
+    return tautology or any(_simplify(parts[i].node, falsify) is False for i in span)
 
 
 def replay_refutation(
@@ -558,14 +554,12 @@ def replay_refutation(
         raise ReplayFailed("empty refutation trace")
     if r.used_claims != cert.conflict:
         raise ReplayFailed("refutation claims do not match the conflict set")
-    known = None  # rendered on the first cited constraint that is not one of these objects
+    cited = []  # each cited constraint's position in ``constraints``
     for g in r.used_constraints:
-        if not any(g is c for c in constraints):
-            if known is None:
-                known = {formula_text(c) for c in constraints}
-            if formula_text(g) not in known:
-                raise ReplayFailed(f"unknown constraint cited: {formula_text(g)}")
-    if formula_text(r.conclusion) != formula_text(Not(cert.candidate.body)):
+        if g not in constraints:
+            raise ReplayFailed(f"unknown constraint cited: {formula_text(g)}")
+        cited.append(constraints.index(g))
+    if r.conclusion != Not(cert.candidate.body):
         raise ReplayFailed("conclusion is not the negation of the candidate body")
 
     audit = audit or _Audit(defs, constraints)
@@ -576,7 +570,7 @@ def replay_refutation(
         if step.rule == "input":
             source = sources.get(step.source)
             if source is None:
-                source = sources[step.source] = _source(audit, cert, step.source, n)
+                source = sources[step.source] = _source(audit, cert, cited, step.source, n)
             if not _entails_clause(source, step.clause, atom_ids):
                 raise ReplayFailed(
                     f"step {n}: clause {list(step.clause)} does not follow from its source"
@@ -600,22 +594,25 @@ def replay_refutation(
         raise ReplayFailed("trace does not end in the empty clause")
 
 
-def _source(audit: _Audit, cert: DiscordCertificate, source: tuple, n: int):
-    """The top-level conjuncts of the formula input step ``n`` cites as
-    ``source`` and, for a constraint, their index by atom."""
+def _source(audit: _Audit, cert: DiscordCertificate, cited: list[int], source: tuple, n: int):
+    """The conjuncts of the formula input step ``n`` cites as ``source``,
+    the positions among them to check and, for a constraint, the index by
+    atom; ``cited`` holds the cited constraints' positions in the tuple."""
     kind = source[0]
+    if kind == "constraint":
+        if not 0 <= source[1] < len(cited):
+            raise ReplayFailed(f"step {n} cites missing constraint {source[1]}")
+        background = audit.background
+        return background.parts, background.spans[cited[source[1]]], background.index
     if kind == "claim":
         if not 0 <= source[1] < len(cert.conflict):
             raise ReplayFailed(f"step {n} cites missing claim {source[1]}")
-        return audit.compile(cert.conflict[source[1]].body), None
-    if kind == "constraint":
-        if not 0 <= source[1] < len(cert.refutation.used_constraints):
-            raise ReplayFailed(f"step {n} cites missing constraint {source[1]}")
-        conjunction = audit.conjunction((cert.refutation.used_constraints[source[1]],))
-        return conjunction.parts, conjunction.index
-    if kind == "candidate":
-        return audit.compile(cert.candidate.body), None
-    raise ReplayFailed(f"step {n} has unknown source {source!r}")
+        parts = audit.compile(cert.conflict[source[1]].body)
+    elif kind == "candidate":
+        parts = audit.compile(cert.candidate.body)
+    else:
+        raise ReplayFailed(f"step {n} has unknown source {source!r}")
+    return parts, range(len(parts)), None
 
 
 def check_minimality(

@@ -13,7 +13,8 @@ Four subcommands:
 
 Exit codes: 0 success, 1 usage/file/parse errors, 2 discord was found
 (``run``) or the replay failed (``check-certificate``), 3 the
-certificate's conflict set is not minimal.
+certificate's conflict set is not minimal.  A certificate whose audit
+exceeds the checker's search budget exits 1.
 
 The trace directory defaults to the current directory and can be
 redirected with ``--trace`` or the ``PLURALITY_TRACE_DIR`` environment
@@ -37,7 +38,7 @@ from .certificates import (
     certificate_to_text,
     check_certificate,
 )
-from .logic import LogicError, claim_text
+from .logic import LogicError, ResourceLimit, claim_text
 from .runtime import TRACE_FORMAT, ConsistencyError, Engine, trace_human, trace_text
 from .syntax import ParseError, parse_formula, parse_scenario
 
@@ -241,6 +242,8 @@ def cmd_check_certificate(args) -> int:
     except NotMinimal as e:
         print(f"conflict set is not minimal: {e}")
         return EXIT_NOT_MINIMAL
+    except ResourceLimit as e:
+        return _err(f"cannot audit certificate: {e}")
     except LogicError as e:  # a body that parses but cannot be ground-expanded
         return _err(f"malformed certificate: {e}")
     print(f"certificate verified: {claim_text(cert.candidate)}")

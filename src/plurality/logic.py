@@ -275,16 +275,16 @@ class DefinitionSet:
     ``refute`` caches, per formula, what it derives from one claim body
     or constraint alone: the formula's ground atom keys in
     first-occurrence order and its non-tautological clauses over local
-    1-based atom ids.  The certificate auditor keeps in
-    ``_audit_cache`` what it derives from the constraints alone: their
-    atom table, compiled formulas and indexed conjunctions.  Consistency
-    checks keep the claims each block id adds with their atom keys
-    (``_block_claims``) and each constraint clause's atom keys
-    (``_constraint_atoms``).  No cache is ever invalidated, so all rely on
-    one rule: the parser is the only code that mutates a DefinitionSet,
-    and it finishes before the first ``refute`` or certificate check.
-    ``constraint_texts`` is the exception: it keeps the tuple it was
-    built from and is rebuilt when ``constraints`` is replaced.
+    1-based atom ids.  Consistency checks keep the claims each block id
+    adds with their atom keys (``_block_claims``) and each constraint
+    clause's atom keys (``_constraint_atoms``).  None of these is ever
+    invalidated, nor is what the certificate auditor grounds through the
+    domains and definitions, so all rely on one rule: the parser is the
+    only code that mutates a DefinitionSet, and it finishes before the
+    first ``refute`` or certificate check.  ``_audit_cache`` holds the
+    auditor's immutable record of the constraints, built by the first
+    check and replaced when a check passes another constraint tuple;
+    ``constraint_texts`` likewise keeps the tuple it was built from.
     """
 
     domains: dict[str, tuple[Value, ...]] = field(default_factory=dict)
@@ -295,7 +295,7 @@ class DefinitionSet:
     _clause_cache: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _audit_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _audit_cache: object = field(default=None, init=False, repr=False, compare=False)
     _block_claims: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _constraint_atoms: list | None = field(default=None, init=False, repr=False, compare=False)
     _constraint_texts: tuple | None = field(default=None, init=False, repr=False, compare=False)

@@ -46,6 +46,7 @@ from .logic import (
     Term,
     Value,
     Var,
+    _wrap,
     claim_text,
     formula_text,
     term_text,
@@ -896,7 +897,7 @@ def pretty_print(c: Contract) -> str:
             out.append(f"agent {a.id}")
     d = c.defs
     for name, members in d.domains.items():
-        inner = ", ".join(term_text(Constant(m)) if isinstance(m, str) else str(m) for m in members)
+        inner = ", ".join(term_text(_wrap(m)) for m in members)
         out.append(f"domain {name} = {{ {inner} }}")
     for name, fd in d.functions.items():
         if fd.body is not None:
@@ -904,8 +905,8 @@ def pretty_print(c: Contract) -> str:
         elif fd.params is not None:
             out.append(f"function {name}({', '.join(fd.params)})")
         for key, val in fd.table.items():
-            args = ", ".join(term_text(_value_term(v)) for v in key)
-            out.append(f"map {name}({args}) = {term_text(_value_term(val))}")
+            args = ", ".join(term_text(_wrap(v)) for v in key)
+            out.append(f"map {name}({args}) = {term_text(_wrap(val))}")
     for name, arity in d.atoms.items():
         if arity:
             out.append(f"atom {name}({', '.join(f'a{i}' for i in range(arity))})")
@@ -918,7 +919,3 @@ def pretty_print(c: Contract) -> str:
     for a in c.actions:
         out.append(action_text(a))
     return "\n".join(out) + "\n"
-
-
-def _value_term(v: Value) -> Term:
-    return IntLit(v) if isinstance(v, int) else Constant(v)

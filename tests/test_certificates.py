@@ -29,10 +29,13 @@ from plurality.logic import (
     And,
     Atom,
     Claim,
+    Constant,
     DefinitionSet,
     DiscordCertificate,
+    ForAll,
     Not,
     ProofStep,
+    Refutation,
     formula_text,
     brute_force_satisfiable,
     minimize_conflict,
@@ -168,6 +171,41 @@ def test_replay_rejects_foreign_constraints():
     for constraints in ((), (_parse("!license(A)"),)):
         with pytest.raises(ReplayFailed, match="unknown constraint cited"):
             replay_refutation(read, constraints, CTX.defs)
+
+
+def test_a_cited_constraint_must_be_the_contracts_own_not_one_with_its_text():
+    # the copy leaves x a constant, so it forbids p(x) itself, which the
+    # contract's constraint over the members of D does not mention
+    ctx = parse_contract("oracle O\ndomain D = { a, b }\natom p(x)\nconstraint forall x in D . !p(x)\n")
+    (own,) = ctx.defs.constraints
+    copy = ForAll("x", "D", Not(Atom("p", (Constant("x"),))))
+    assert formula_text(copy) == formula_text(own) and copy != own
+    candidate = Claim("O", Atom("p", (Constant("x"),)))
+    steps = (
+        ProofStep("input", (1,), source=("candidate",)),
+        ProofStep("input", (-1,), source=("constraint", 0)),
+        ProofStep("resolve", (), premises=(0, 1)),
+    )
+    refutation = Refutation(Not(candidate.body), (), (copy,), ("p(x)",), steps)
+    cert = DiscordCertificate(candidate, (), refutation)
+    with pytest.raises(ReplayFailed, match="unknown constraint cited"):
+        check_certificate(cert, ctx.defs.constraints, ctx.defs)
+    # citing the contract's own constraint, the clause -p(x) does not follow
+    own_cert = dataclasses.replace(cert, refutation=dataclasses.replace(refutation, used_constraints=(own,)))
+    with pytest.raises(ReplayFailed, match="step 1: clause"):
+        check_certificate(own_cert, ctx.defs.constraints, ctx.defs)
+
+
+def test_a_conclusion_in_other_but_equal_text_still_verifies():
+    doc = certificate_to_doc(rank_conflict())
+    conclusion = doc["refutation"]["conclusion"]
+    doc["refutation"]["conclusion"] = f"(({conclusion}))"
+    read = certificate_from_text(json.dumps(doc), _parse)
+    assert read.refutation.conclusion is not Not(read.candidate.body)
+    check_certificate(read, CTX.defs.constraints, CTX.defs)
+    doc["refutation"]["conclusion"] = "!(rank(C, A) = 1)"
+    with pytest.raises(ReplayFailed, match="conclusion is not the negation"):
+        check_certificate(certificate_from_text(json.dumps(doc), _parse), CTX.defs.constraints, CTX.defs)
 
 
 def test_replacing_the_constraints_replaces_the_texts_the_parser_knows():
@@ -376,12 +414,11 @@ def reference_verdict(cert, constraints, d) -> str | None:
     sources = {("candidate",): cert.candidate.body}
     sources.update({("claim", i): c.body for i, c in enumerate(cert.conflict)})
     sources.update({("constraint", i): g for i, g in enumerate(r.used_constraints)})
-    known = {formula_text(g) for g in constraints}
     ok = (
         bool(r.steps)
         and r.used_claims == cert.conflict
-        and all(formula_text(g) in known for g in r.used_constraints)
-        and formula_text(r.conclusion) == formula_text(Not(cert.candidate.body))
+        and all(g in constraints for g in r.used_constraints)
+        and r.conclusion == Not(cert.candidate.body)
         and r.steps[-1].clause == ()
     )
     derived: list[tuple[int, ...]] = []
@@ -608,8 +645,10 @@ def test_certificates_leave_nothing_behind_in_the_contract_cache():
     scenario, certs = claims_12x3()
     defs = scenario.contract.defs
     check_certificate(certs[0], defs.constraints, defs)
-    sizes = [len(table) for table in defs._audit_cache]
-    assert set(defs._audit_cache[2]) == {defs.constraints} | {(g,) for g in defs.constraints}
+    background = defs._audit_cache
+    assert background.constraints is defs.constraints
+    sizes = [len(table) for table in (background.ids, background.parts, background.index)]
+    assert sizes == [36, 72, 36]
     verdicts = []
     for n in range(30):
         cert = certs[n % 3]
@@ -619,5 +658,6 @@ def test_certificates_leave_nothing_behind_in_the_contract_cache():
         pad = Claim("O", parse_formula(body, scenario), "bp")
         for c in (cert, flipped(cert), with_member(cert, pad), dataclasses.replace(cert, refutation=fresh)):
             verdicts.append(verdict(c, defs.constraints, defs))
-    assert [len(table) for table in defs._audit_cache] == sizes
+    assert defs._audit_cache is background
+    assert [len(table) for table in (background.ids, background.parts, background.index)] == sizes
     assert {None, "ReplayFailed", "NotMinimal"} <= set(verdicts)

@@ -8,6 +8,7 @@ temporary directory.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -457,6 +458,71 @@ def test_check_certificate_refuses_a_pigeonhole_body_without_searching(capsys, m
         "",
     )
     assert searches == []
+
+
+def test_check_certificate_gives_up_on_a_pigeonhole_member_within_its_budget(capsys, monkeypatch):
+    # the proof cites only the candidate r(1) and the constraint !r(1), so
+    # it replays at once; minimality must then decide the member PHP(9, 8)
+    # without the candidate, which took 80,639 propagations unbounded
+    fixtures = Path(__file__).resolve().parent / "fixtures"
+    propagated = []
+    real_propagate = certificates._propagate
+    monkeypatch.setattr(
+        certificates, "_propagate", lambda *args: propagated.append(1) or real_propagate(*args)
+    )
+    code, out, err = run_cli(
+        capsys,
+        "check-certificate",
+        str(fixtures / "pigeonhole_member.cert.json"),
+        str(fixtures / "pigeonhole_member.plu"),
+    )
+    budget = certificates.MAX_SEARCH_STEPS
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"plurality: cannot audit certificate: the audit's search took more than {budget} steps\n"
+    # one step decides the constraint alone, then the probe spends the budget
+    assert len(propagated) == 1 + budget
+
+
+ENGINE_CODE = ("refute", "minimize_conflict", "store_consistent", "_formula_clauses", "_cnf", "compute_state")
+
+
+def test_check_certificate_runs_no_engine_code(tmp_path, capsys, monkeypatch):
+    def unavailable(*args, **kwargs):
+        raise AssertionError("check-certificate ran engine code")
+
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name == "plurality" or name.startswith("plurality."):
+            for attr in ENGINE_CODE:
+                if attr in vars(module):
+                    monkeypatch.setattr(module, attr, unavailable)
+                    patched.append(attr)
+    assert patched.count("compute_state") >= 2 and set(patched) == set(ENGINE_CODE)
+
+    golden = sorted((Path(__file__).resolve().parent / "golden").glob("*.cert-*.json"))
+    assert len(golden) == 12
+    for cert in golden:
+        scenario = SCENARIOS / f"{cert.name.split('.')[0]}.plu"
+        assert run_cli(capsys, "check-certificate", str(cert), str(scenario))[0] == EXIT_OK, cert.name
+    fixtures = Path(__file__).resolve().parent / "fixtures"
+    pigeonhole = run_cli(
+        capsys,
+        "check-certificate",
+        str(fixtures / "pigeonhole.cert.json"),
+        str(fixtures / "pigeonhole.plu"),
+    )
+    assert pigeonhole[0] == EXIT_DISCORD
+    doc = json.loads((golden[0].parent / "competitive_v2.seed-5.prodigal.cert-0.json").read_text())
+    flipped = json.loads(json.dumps(doc))
+    step = next(s for s in flipped["refutation"]["steps"] if s.get("source") == "candidate")
+    step["clause"] = sorted(-lit for lit in step["clause"])
+    padded = json.loads(json.dumps(doc))
+    padded["conflict"].append(padded["conflict"][0])
+    scenario = str(SCENARIOS / "competitive_v2.plu")
+    for tampered, want in ((flipped, EXIT_DISCORD), (padded, EXIT_NOT_MINIMAL)):
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(tampered))
+        assert run_cli(capsys, "check-certificate", str(path), scenario)[0] == want
 
 
 def test_check_certificate_rejects_malformed_file(tmp_path, capsys):

@@ -378,14 +378,14 @@ class _Background:
 
 
 class _Audit:
-    """One verdict's view: the contract's background, in ``_audit_cache``
-    and built again only for another constraint tuple, plus the atom ids
-    and compiled bodies the certificate brings, dropped with the view."""
+    """One verdict's view: the background of its constraint tuple, kept in
+    ``_audit_cache`` under the tuple's ``id``, plus the atom ids and
+    compiled bodies the certificate brings, dropped with the view."""
 
     def __init__(self, defs: DefinitionSet, constraints: tuple[Formula, ...] = ()):
-        background = defs._audit_cache
-        if background is None or background.constraints is not constraints:
-            background = defs._audit_cache = _Background(constraints, defs)
+        background = defs._audit_cache.get(id(constraints))
+        if background is None:
+            background = defs._audit_cache[id(constraints)] = _Background(constraints, defs)
         self.defs, self.background, self.ids, self.compiled = defs, background, {}, {}
 
     def id_of(self, key: str) -> int:

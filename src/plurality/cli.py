@@ -110,7 +110,7 @@ def _load_trace(path_text: str) -> dict:
     path = Path(path_text)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad UTF-8, bad JSON, too many digits
         raise ValueError(f"cannot read trace: {e}") from None
     if not isinstance(doc, dict) or doc.get("format") != TRACE_FORMAT:
         raise ValueError(f"{path} is not a {TRACE_FORMAT} document")
@@ -230,7 +230,7 @@ def cmd_check_certificate(args) -> int:
         return _err(f"cannot read certificate: {e}")
     try:
         cert = certificate_from_text(text, lambda s: parse_formula(s, scenario))
-    except (json.JSONDecodeError, CertificateError, ParseError) as e:
+    except (ValueError, CertificateError, ParseError) as e:  # ValueError: bad JSON, too many digits
         return _err(f"malformed certificate: {e}")
 
     defs = scenario.contract.defs

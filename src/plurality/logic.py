@@ -24,6 +24,7 @@ import operator
 import re
 from collections.abc import Mapping, Set as AbstractSet
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class LogicError(Exception):
@@ -268,23 +269,26 @@ class PredicateDef:
     body: Formula
 
 
-@dataclass
+@dataclass(frozen=True)
 class DefinitionSet:
     """Domains, defined symbols and integrity constraints of a scenario.
+
+    Frozen: the parser builds it once, after its last statement, and no
+    field is rebound after that, so nothing derived from it is ever
+    invalidated.  Code that needs other constraints builds another one
+    with ``dataclasses.replace``, which starts with empty caches.  The
+    tables (domains, functions, predicates, atoms) are filled before
+    the first ``refute`` or certificate check and not changed after.
 
     ``refute`` caches, per formula, what it derives from one claim body
     or constraint alone: the formula's ground atom keys in
     first-occurrence order and its non-tautological clauses over local
     1-based atom ids.  Consistency checks keep the claims each block id
-    adds with their atom keys (``_block_claims``) and each constraint
-    clause's atom keys (``_constraint_atoms``).  None of these is ever
-    invalidated, nor is what the certificate auditor grounds through the
-    domains and definitions, so all rely on one rule: the parser is the
-    only code that mutates a DefinitionSet, and it finishes before the
-    first ``refute`` or certificate check.  ``_audit_cache`` holds the
-    auditor's immutable record of the constraints, built by the first
-    check and replaced when a check passes another constraint tuple;
-    ``constraint_texts`` likewise keeps the tuple it was built from.
+    adds with their atom keys (``_block_claims``).  ``_audit_cache``
+    maps the ``id`` of each constraint tuple a certificate check passes
+    to the auditor's immutable record of it; the record keeps its tuple
+    alive, so no id is reused while it is cached.  ``constraint_texts``
+    and ``constraint_clause_atoms`` are computed on first use.
     """
 
     domains: dict[str, tuple[Value, ...]] = field(default_factory=dict)
@@ -292,20 +296,20 @@ class DefinitionSet:
     predicates: dict[str, PredicateDef] = field(default_factory=dict)
     atoms: dict[str, int] = field(default_factory=dict)  # open atoms: name -> arity
     constraints: tuple[Formula, ...] = ()
-    _clause_cache: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _audit_cache: object = field(default=None, init=False, repr=False, compare=False)
+    _clause_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _audit_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _block_claims: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _constraint_atoms: list | None = field(default=None, init=False, repr=False, compare=False)
-    _constraint_texts: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
+    @cached_property
     def constraint_texts(self) -> dict[str, Formula]:
         """Each constraint by its canonical text."""
-        if self._constraint_texts is None or self._constraint_texts[0] is not self.constraints:
-            texts = {formula_text(g): g for g in self.constraints}
-            self._constraint_texts = (self.constraints, texts)
-        return self._constraint_texts[1]
+        return {formula_text(g): g for g in self.constraints}
+
+    @cached_property
+    def constraint_clause_atoms(self) -> list[list[str]]:
+        """The atom keys of each constraint clause, constraints in order."""
+        compiled = [_formula_clauses(g, self) for g in self.constraints]
+        return [[names[abs(lit) - 1] for lit in cl] for names, clauses in compiled for cl in clauses]
 
     def domain_members(self, name: str) -> tuple[Value, ...]:
         try:
@@ -700,23 +704,6 @@ def brute_force_satisfiable(formulas: list[Formula], defs: DefinitionSet) -> dic
 # Clausification
 
 
-class _AtomTable:
-    def __init__(self):
-        self.index: dict[str, int] = {}
-        self.names: list[str] = []
-
-    def id_of(self, key: str) -> int:
-        got = self.index.get(key)
-        if got is None:
-            got = len(self.names)
-            self.index[key] = got
-            self.names.append(key)
-        return got
-
-    def __len__(self):
-        return len(self.names)
-
-
 def _is_tautology(clause: frozenset[int]) -> bool:
     return not clause.isdisjoint(map(operator.neg, clause))
 
@@ -728,21 +715,22 @@ def _formula_clauses(f: Formula, defs: DefinitionSet):
     """
     got = defs._clause_cache.get(f)
     if got is None:
-        table = _AtomTable()
+        table: dict[str, int] = {}
         try:
             clauses = _cnf(f, False, {}, (), defs, table, {}, {})
         except ResourceLimit:  # the expansion may fold the overflowing branch away,
-            table = _AtomTable()  # or fail to ground after it: walk the expansion
+            table = {}  # or fail to ground after it: walk the expansion
             clauses = _cnf(ground_expand(f, defs), False, {}, (), defs, table, {}, {})
-        got = (table.names, [tuple(cl) for cl in map(frozenset, clauses) if not _is_tautology(cl)])
+        got = (list(table), [tuple(cl) for cl in map(frozenset, clauses) if not _is_tautology(cl)])
         defs._clause_cache[f] = got
     return got
 
 
 def _cnf(f, neg, env, stack, defs, table, wrapped, texts) -> list[tuple[int, ...]]:
     """Clauses of ``ground_expand(f)``, negated if ``neg``, in one walk: ``[]``
-    is TRUE, ``[()]`` FALSE, and a part that folds to one leaves no atoms in
-    ``table``.  ``wrapped`` maps domains to members, ``texts`` ids to texts."""
+    is TRUE, ``[()]`` FALSE.  ``table`` maps atom keys to 0-based ids in
+    first-occurrence order, and a part that folds to a constant leaves no
+    atoms in it.  ``wrapped`` maps domains to members, ``texts`` ids to texts."""
     kind = type(f)
     while kind is Not:
         f, neg, kind = f.sub, not neg, type(f.sub)
@@ -757,11 +745,11 @@ def _cnf(f, neg, env, stack, defs, table, wrapped, texts) -> list[tuple[int, ...
             return _cnf(g[0], neg, g[1], g[2], defs, table, wrapped, texts)
         else:
             return [] if (g is TRUE) != neg else [()]
-        lit = table.id_of(k) + 1
+        lit = table.setdefault(k, len(table)) + 1
         return [(-lit,)] if neg else [(lit,)]
     if kind is TrueF or kind is FalseF:
         return [] if (kind is TrueF) != neg else [()]
-    mark = len(table.names)
+    mark = len(table)
     if kind is Implies:
         a = _cnf(f.lhs, not neg, env, stack, defs, table, wrapped, texts)
         out = _join(neg, a, _cnf(f.rhs, neg, env, stack, defs, table, wrapped, texts))
@@ -786,9 +774,8 @@ def _cnf(f, neg, env, stack, defs, table, wrapped, texts) -> list[tuple[int, ...
     else:
         raise TypeError(f"not a formula: {f!r}")
     if not out or not out[0]:  # a constant: none of its atoms is in the expansion
-        for k in table.names[mark:]:
-            del table.index[k]
-        del table.names[mark:]
+        while len(table) > mark:
+            table.popitem()
     return out
 
 
@@ -880,12 +867,12 @@ def refute(claims, constraints, candidate: Claim, defs: DefinitionSet) -> Refuta
     """
     claims = tuple(claims)
     constraints = tuple(constraints)
-    table = _AtomTable()
+    table: dict[str, int] = {}  # atom key -> 0-based id, in first-occurrence order
     inputs: list[tuple[tuple, frozenset[int]]] = []
 
     def clausify(source: tuple, body: Formula):
         names, clauses = _formula_clauses(body, defs)
-        ids = [0] + [table.id_of(k) + 1 for k in names]
+        ids = [0] + [table.setdefault(k, len(table)) + 1 for k in names]
         for cl in clauses:
             inputs.append((source, frozenset(ids[l] if l > 0 else -ids[-l] for l in cl)))
         if len(table) > MAX_ATOMS:
@@ -975,6 +962,7 @@ def refute(claims, constraints, candidate: Claim, defs: DefinitionSet) -> Refuta
     claim_pos = {old: new for new, old in enumerate(claim_ids)}
     constraint_pos = {old: new for new, old in enumerate(constraint_ids)}
     used_atom_ids = sorted({abs(l) for i in order for l in steps[i].clause})
+    names = list(table)
     atom_renum = {old: new for new, old in enumerate(used_atom_ids, start=1)}
 
     def remap(clause):
@@ -998,7 +986,7 @@ def refute(claims, constraints, candidate: Claim, defs: DefinitionSet) -> Refuta
         conclusion=Not(candidate.body),
         used_claims=tuple(claims[i] for i in claim_ids),
         used_constraints=tuple(constraints[j] for j in constraint_ids),
-        atoms=tuple(table.names[old - 1] for old in used_atom_ids),
+        atoms=tuple(names[old - 1] for old in used_atom_ids),
         steps=tuple(trace),
     )
 

@@ -505,6 +505,7 @@ class _FileParser(_Parser):
         self.scenario_mode = scenario
         self.name = name
         self.actions: list[Action] = []
+        self.constraints: list[Formula] = []
         self.bindings: set[str] = set()
         self.labels: set[str] = set()
         self.events: list[Event] = []
@@ -518,6 +519,8 @@ class _FileParser(_Parser):
         while self.toks[self.pos] != _EOF:
             if not self.take(";"):
                 self.statement()
+        d, constraints = self.defs, tuple(self.constraints)
+        self.contract.defs = DefinitionSet(d.domains, d.functions, d.predicates, d.atoms, constraints)
         self.contract.agents = tuple(self.agents.values())
         self.contract.actions = tuple(self.actions)
         if not self.scenario_mode:
@@ -670,7 +673,7 @@ class _FileParser(_Parser):
 
     def p_constraint(self):
         self.pos += 1
-        self.defs.constraints = self.defs.constraints + (self.formula(set()),)
+        self.constraints.append(self.formula(set()))
 
     # -- actions ----------------------------------------------------------
 
@@ -862,7 +865,7 @@ def parse_formula(text: str, context) -> Formula:
     parsing it: certificates cite their constraints by that text.
     """
     contract = context.contract if isinstance(context, Scenario) else context
-    known = contract.defs.constraint_texts().get(text)
+    known = contract.defs.constraint_texts.get(text)
     if known is not None:
         return known
     p = _Parser(text, contract)

@@ -324,12 +324,7 @@ def _component_of_new_claims(tree, leaf: str, defs, verified) -> list[Claim]:
     start = next((i for i in range(len(chain), 0, -1) if chain[i - 1] in verified), 0)
     old = [r for bid in chain[:start] for r in _block_claims(tree.block(bid), defs)]
     records = old + [r for bid in chain[start:] for r in _block_claims(tree.block(bid), defs)]
-    if defs._constraint_atoms is None:  # set only once every constraint has its clauses
-        compiled = [_formula_clauses(g, defs) for g in defs.constraints]
-        defs._constraint_atoms = [
-            [names[abs(lit) - 1] for lit in cl] for names, clauses in compiled for cl in clauses
-        ]
-    groups = [atoms for _, atoms in records] + defs._constraint_atoms
+    groups = [atoms for _, atoms in records] + defs.constraint_clause_atoms
     owners: dict[str, list[int]] = {}
     for i, atoms in enumerate(groups):
         for a in atoms:

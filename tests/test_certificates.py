@@ -214,7 +214,7 @@ def test_replacing_the_constraints_replaces_the_texts_the_parser_knows():
     cert = certificate_from_text(text, lambda t: parse_formula(t, ctx))
     assert cert.refutation.used_constraints[0] is ctx.defs.constraints[0]
     check_certificate(cert, ctx.defs.constraints, ctx.defs)
-    ctx.defs.constraints = (parse_formula("!license(A)", ctx),)
+    ctx.defs = dataclasses.replace(ctx.defs, constraints=(parse_formula("!license(A)", ctx),))
     again = certificate_from_text(text, lambda t: parse_formula(t, ctx))
     with pytest.raises(ReplayFailed, match="unknown constraint cited"):
         replay_refutation(again, ctx.defs.constraints, ctx.defs)
@@ -645,7 +645,8 @@ def test_certificates_leave_nothing_behind_in_the_contract_cache():
     scenario, certs = claims_12x3()
     defs = scenario.contract.defs
     check_certificate(certs[0], defs.constraints, defs)
-    background = defs._audit_cache
+    (background,) = defs._audit_cache.values()
+    assert defs._audit_cache == {id(defs.constraints): background}
     assert background.constraints is defs.constraints
     sizes = [len(table) for table in (background.ids, background.parts, background.index)]
     assert sizes == [36, 72, 36]
@@ -658,6 +659,6 @@ def test_certificates_leave_nothing_behind_in_the_contract_cache():
         pad = Claim("O", parse_formula(body, scenario), "bp")
         for c in (cert, flipped(cert), with_member(cert, pad), dataclasses.replace(cert, refutation=fresh)):
             verdicts.append(verdict(c, defs.constraints, defs))
-    assert defs._audit_cache is background
+    assert defs._audit_cache == {id(defs.constraints): background}
     assert [len(table) for table in (background.ids, background.parts, background.index)] == sizes
     assert {None, "ReplayFailed", "NotMinimal"} <= set(verdicts)

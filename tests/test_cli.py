@@ -7,12 +7,18 @@ temporary directory.
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plurality import certificates
 from plurality.cli import (
@@ -22,9 +28,11 @@ from plurality.cli import (
     EXIT_OK,
     main,
 )
+from plurality.logic import DefinitionSet
 from plurality.runtime import TRACE_FORMAT
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -483,7 +491,18 @@ def test_check_certificate_gives_up_on_a_pigeonhole_member_within_its_budget(cap
     assert len(propagated) == 1 + budget
 
 
-ENGINE_CODE = ("refute", "minimize_conflict", "store_consistent", "_formula_clauses", "_cnf", "compute_state")
+ENGINE_CODE = (
+    "refute",
+    "minimize_conflict",
+    "store_consistent",
+    "_formula_clauses",
+    "_cnf",
+    "compute_state",
+    "chain_claims_consistent",
+    "fold_block",
+    "_block_claims",
+    "_component_of_new_claims",
+)
 
 
 def test_check_certificate_runs_no_engine_code(tmp_path, capsys, monkeypatch):
@@ -498,8 +517,9 @@ def test_check_certificate_runs_no_engine_code(tmp_path, capsys, monkeypatch):
                     monkeypatch.setattr(module, attr, unavailable)
                     patched.append(attr)
     assert patched.count("compute_state") >= 2 and set(patched) == set(ENGINE_CODE)
+    monkeypatch.setattr(DefinitionSet, "constraint_clause_atoms", property(unavailable))
 
-    golden = sorted((Path(__file__).resolve().parent / "golden").glob("*.cert-*.json"))
+    golden = sorted(GOLDEN.glob("*.cert-*.json"))
     assert len(golden) == 12
     for cert in golden:
         scenario = SCENARIOS / f"{cert.name.split('.')[0]}.plu"
@@ -636,6 +656,24 @@ def test_commands_report_an_input_that_is_not_utf8(tmp_path, capsys, command, wh
     assert err.startswith(f"plurality: cannot read {what}: ")
 
 
+@pytest.mark.parametrize(
+    "command,suffix,extra,what",
+    [
+        ("check-certificate", "cert-0.json", [SCENARIOS / "cadillac.plu"], "malformed certificate"),
+        ("explain", "trace.json", ["x"], "cannot read trace"),
+        ("inspect-tree", "trace.json", [], "cannot read trace"),
+    ],
+)
+def test_commands_report_an_integer_too_long_to_read(tmp_path, capsys, command, suffix, extra, what):
+    # json.loads refuses an integer of more than 4,300 digits with a plain ValueError
+    bad = tmp_path / "bad.json"
+    golden = (GOLDEN / f"cadillac.seed-5.prodigal.{suffix}").read_text()
+    bad.write_text(golden.replace("{", '{"pad": ' + "9" * 5000 + ",", 1))
+    code, out, err = run_cli(capsys, command, str(bad), *map(str, extra))
+    assert_one_error_line(code, out, err)
+    assert err.startswith(f"plurality: {what}: ")
+
+
 def test_run_reports_a_certificate_it_cannot_write(tmp_path, capsys):
     (tmp_path / "evidential_discord.cert-0.json").mkdir()
     trace = tmp_path / "evidential_discord.trace.json"
@@ -671,6 +709,83 @@ def test_trace_commands_report_a_field_of_the_wrong_type(tmp_path, capsys, tampe
     code, out, err = run_cli(capsys, *argv)
     assert_one_error_line(code, out, err)
     assert "malformed trace" in err
+
+
+# ---------------------------------------------------------------------------
+# mutated golden inputs: a documented exit code and at most one error line
+
+
+def json_slots(doc) -> list:
+    """Every (container, key) pair of a JSON document."""
+    slots, todo = [], [doc]
+    while todo:
+        node = todo.pop()
+        keys = node.keys() if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+        for k in keys:
+            slots.append((node, k))
+            todo.append(node[k])
+    return slots
+
+
+OTHER_VALUES = (None, True, 0, -1, 1.5, "", "x", [], {}, ["x"], {"x": 1})
+OUT_OF_RANGE = (-1, 2**31, -(2**63), 2**64, 10**100)
+NON_ASCII = ("\u00e9", "\u00b2", "\u0663", "\u96ea", "\U0001f600", "\ufeff", "\x00")
+HUGE = "9" * 5000  # past Python's integer-string limit: spliced into the text
+
+
+def mutant(data, path: Path) -> bytes:
+    """``path``'s JSON with 1-3 random edits: a value of another JSON
+    type, a deleted key or item, an integer out of range, non-ASCII text;
+    then perhaps a trailing byte that is not UTF-8."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        slots = json_slots(doc)
+        if not slots:
+            break
+        node, key = slots[data.draw(st.integers(0, len(slots) - 1), label="slot")]
+        value, kind = node[key], data.draw(st.sampled_from(("type", "delete", "integer", "text")))
+        if kind == "delete":
+            del node[key]
+        elif kind == "integer":
+            node[key] = data.draw(st.sampled_from(OUT_OF_RANGE + ("huge",)))
+        elif kind == "text":
+            text = value if isinstance(value, str) else ""
+            at = data.draw(st.integers(0, len(text)))
+            node[key] = text[:at] + data.draw(st.sampled_from(NON_ASCII)) + text[at:]
+        else:
+            other = data.draw(st.sampled_from([v for v in OTHER_VALUES if type(v) is not type(value)]))
+            node[key] = copy.deepcopy(other)  # later edits may change it
+    text = json.dumps(doc, ensure_ascii=data.draw(st.booleans())).replace('"huge"', HUGE)
+    return text.encode("utf-8") + (b"\xff" if data.draw(st.booleans()) else b"")
+
+
+def fenced_cli(*argv: str) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_mutated_golden_inputs_get_a_verdict_or_one_error_line(data):
+    certs = sorted(GOLDEN.glob("*.cert-*.json"))
+    traces = sorted(GOLDEN.glob("*.trace.json"))
+    assert len(certs) == 12 and len(traces) == 36
+    path = data.draw(st.sampled_from(certs) | st.sampled_from(traces))
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "mutant.json"
+        target.write_bytes(mutant(data, path))
+        if path in certs:
+            scenario = SCENARIOS / f"{path.name.split('.')[0]}.plu"
+            runs = [("check-certificate", str(target), str(scenario))]
+        else:
+            name = json.loads(path.read_text())["records"][0]["name"]
+            runs = [("explain", str(target), name), ("inspect-tree", str(target))]
+        for argv in runs:
+            code, err = fenced_cli(*argv)
+            assert code in (EXIT_OK, EXIT_ERROR, EXIT_DISCORD, EXIT_NOT_MINIMAL), argv
+            assert err.count("\n") <= 1 and err.endswith("\n") == bool(err), (argv, err)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ subset enumeration.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -55,7 +56,6 @@ from plurality.logic import (
     UnknownSymbol,
     Var,
     _arith,
-    _AtomTable,
     _check_arity,
     _decide_cmp,
     _formula_clauses,
@@ -75,6 +75,7 @@ from plurality.logic import (
     store_consistent,
 )
 from plurality import logic
+from plurality.certificates import certificate_to_text
 from plurality.syntax import ClaimedGuard, ClaimEvent, parse_scenario
 
 
@@ -477,8 +478,7 @@ def one_rank_per_position():
             ),
         ),
     )
-    d.constraints = (constraint,)
-    return d
+    return dataclasses.replace(d, constraints=(constraint,))
 
 
 def test_unrefuted_claim_on_empty_store():
@@ -727,16 +727,16 @@ def _nnf(f, neg: bool):
     raise LogicError(f"not residual: {formula_text(f)}")
 
 
-def _clauses(f, table: _AtomTable) -> list[frozenset[int]]:
+def _clauses(f, table: dict[str, int]) -> list[frozenset[int]]:
     """Plain distributive CNF of an NNF residual formula, within ``logic.MAX_CLAUSES``."""
     if isinstance(f, TrueF):
         return []
     if isinstance(f, FalseF):
         return [frozenset()]
     if isinstance(f, (Atom, Cmp)):
-        return [frozenset({table.id_of(atom_key(f)) + 1})]
+        return [frozenset({table.setdefault(atom_key(f), len(table)) + 1})]
     if isinstance(f, Not):
-        return [frozenset({-(table.id_of(atom_key(f.sub)) + 1)})]
+        return [frozenset({-(table.setdefault(atom_key(f.sub), len(table)) + 1)})]
     if isinstance(f, And):
         return _clauses(f.lhs, table) + _clauses(f.rhs, table)
     if isinstance(f, Or):
@@ -758,9 +758,9 @@ def _clauses(f, table: _AtomTable) -> list[frozenset[int]]:
 def oracle_formula_clauses(f, defs):
     """What ``_formula_clauses`` computed before grounding and clause
     building became one walk: expand, push negations in, distribute."""
-    table = _AtomTable()
+    table: dict[str, int] = {}
     clauses = _clauses(_nnf(ground_expand(f, defs), False), table)
-    return table.names, [cl for cl in clauses if not _is_tautology(cl)]
+    return list(table), [cl for cl in clauses if not _is_tautology(cl)]
 
 
 DIGEST_OF_S = hashlib.sha256(b"s").hexdigest()
@@ -1137,6 +1137,57 @@ def test_minimized_conflicts_match_subset_oracle():
         minimal = minimal_unsat_subsets(claims, (), cand, d)
         assert chosen in minimal, (chosen, minimal)
     assert found > 20  # the sample actually exercised conflicts
+
+
+# --- locality: claims over fresh atoms change no certificate ----------------
+
+
+def satisfied_formula(rng, names, model):
+    """A random formula over ``names`` that ``model`` makes true."""
+    f = random_ground_formula(rng, names, rng.randrange(1, 4))
+    return f if eval_residual(f, model) else Not(f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_claims_over_fresh_atoms_leave_the_certificate_unchanged(seed):
+    # a consistent store and constraints over atoms A refute a candidate
+    # over A; claims over fresh atoms B, consistent among themselves and
+    # in no constraint, never meet A's clauses, so neither the refutation
+    # nor the minimized certificate may change wherever they are inserted
+    rng = random.Random(seed)
+    pool = [f"x{i}" for i in range(rng.randrange(4, 11))]
+    rng.shuffle(pool)  # A and B interleave in name order too
+    cut = rng.randrange(2, len(pool) - 1)
+    a_names, b_names = pool[:cut], pool[cut:]
+    d = DefinitionSet(atoms={n: 0 for n in pool})
+    model_a = {n: rng.random() < 0.5 for n in a_names}
+    model_b = {n: rng.random() < 0.5 for n in b_names}
+    store = [
+        Claim(f"O{i}", satisfied_formula(rng, a_names, model_a), origin=f"b{i}")
+        for i in range(rng.randrange(1, 6))
+    ]
+    constraints = tuple(satisfied_formula(rng, a_names, model_a) for _ in range(rng.randrange(0, 3)))
+    for _ in range(20):
+        cand = Claim("Oc", random_ground_formula(rng, a_names, rng.randrange(1, 4)))
+        if refute(store, constraints, cand, d) is not None:
+            break
+    else:
+        cand = Claim("Oc", Not(rng.choice(store).body))
+    before = refute(store, constraints, cand, d)
+    text = certificate_to_text(minimize_conflict(store, constraints, cand, d))
+
+    extended = list(store)
+    for j in range(rng.randrange(1, 6)):
+        fresh = Claim(f"P{j}", satisfied_formula(rng, b_names, model_b), origin=f"f{j}")
+        extended.insert(rng.randrange(len(extended) + 1), fresh)
+    try:
+        after = refute(extended, constraints, cand, d)
+        again = certificate_to_text(minimize_conflict(extended, constraints, cand, d))
+    except ResourceLimit:  # MAX_ATOMS or MAX_CLAUSES over the whole store: the one exception
+        return
+    assert after == before
+    assert again == text
 
 
 def test_store_consistency_probe():

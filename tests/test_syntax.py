@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 
@@ -150,6 +151,13 @@ def test_studious_guard_shape():
     assert y.transaction.guard == ClosedGuard(
         Cmp(">", FnApp("as_grate", (BalanceOf("S_A"),)), IntLit(10))
     )
+
+
+def test_a_parsed_definition_set_is_frozen():
+    defs = parse_contract(COMPETITIVE_V2).defs
+    for name in [f.name for f in dataclasses.fields(defs)] + ["constraint_texts"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(defs, name, getattr(defs, name))
 
 
 def test_uninterpreted_functions_allowed_in_claims_only():
@@ -386,9 +394,10 @@ def _random_contract(rng) -> Contract:
     defs.predicates["pr"] = PredicateDef(
         "pr", ("u",), _random_formula(rng, {"u"}, 2)
     )
-    defs.constraints = tuple(
+    constraints = tuple(
         _random_formula(rng, set(), rng.randrange(0, 4)) for _ in range(rng.randrange(0, 3))
     )
+    defs = dataclasses.replace(defs, constraints=constraints)
     agents = (
         Agent("W", "wallet", rng.randrange(0, 100)),
         Agent("A", "wallet", 0),
@@ -507,7 +516,9 @@ def test_printed_contracts_reparse_however_spaced(seed, strings, rnd):
     c.defs.functions["tag"] = FunctionDef(
         "tag", 1, table={(s,): strings[-1 - i] for i, s in enumerate(strings)}
     )
-    c.defs.constraints += (Atom("pa", (Constant(strings[0]),)),)
+    c.defs = dataclasses.replace(
+        c.defs, constraints=c.defs.constraints + (Atom("pa", (Constant(strings[0]),)),)
+    )
     printed = pretty_print(c)
     assert parse_contract(printed) == c
     assert parse_contract(_respaced(printed, rnd)) == c

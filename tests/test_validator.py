@@ -696,6 +696,22 @@ def test_chain_claims_consistent_flags_forced_discord():
     assert not chain_claims_consistent(bt, s)
 
 
+def test_a_contract_with_other_constraints_is_checked_under_its_own():
+    # the first check caches the constraint clauses' atoms (none); a
+    # contract built with !(p & q) must connect q's block to p's
+    s = parse_scenario("oracle Om\natom p\natom q\n", name="t")
+    p = ClaimPayload("p", Claim("Om", parse_formula("p", s)))
+    q = ClaimPayload("q", Claim("Om", parse_formula("q", s)))
+    bt = seeded_tree(s, p, q)
+    assert chain_claims_consistent(bt, s)
+    defs = replace(s.contract.defs, constraints=(parse_formula("!(p & q)", s),))
+    other = replace(s, contract=replace(s.contract, defs=defs))
+    (leaf,) = bt.leaves()
+    assert not store_consistent(compute_state(bt, leaf).claims, defs.constraints, defs)
+    # p's chain is consistent under !(p & q) too, so it may stay verified
+    assert not chain_claims_consistent(bt, other, {bt.chain_to(leaf)[1]})
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_a_validator_reused_across_targets_answers_as_a_fresh_one(data):

@@ -16,17 +16,19 @@ stops with ResourceLimit after ``MAX_SEARCH_STEPS`` steps, and every model
 it reports is confirmed with the formula evaluator.  The only code shared
 with the engine is that evaluator and ground expansion.
 
-What derives from the constraints alone is one immutable ``_Background``
-per constraint tuple, built by the first check against it; a
-certificate's bodies are compiled once per verdict, in one view that the
-replay and the minimality audit share.  Replay finds a cited constraint
-by structural equality in the contract's tuple.  A satisfiability check
-searches its own formulas plus only the constraint conjuncts connected to
-their atoms.  This is exact: the other conjuncts share no atom with the
-search and are a subset of the constraints, so they are satisfiable
-whenever the constraints are, which the background decides once; when
-they are not, every check answers unsatisfiable, as a search over all of
-them would.
+What derives from the constraints alone is one immutable
+``_Background``, kept for the contract's own constraint tuple from the
+first check against it on; a check against another tuple builds one for
+itself alone.  A certificate's bodies are compiled once per verdict, in
+one view that the replay and the minimality audit share.  Replay finds a
+cited constraint by structural equality in the contract's tuple.  A
+satisfiability check searches its own formulas plus only the constraint
+conjuncts connected to their atoms.  This is exact: the other conjuncts
+share no atom with the search and are a subset of the constraints, so
+they are satisfiable whenever the constraints are, which the background
+decides once, by the all-false assignment when evaluation confirms it
+and by search only when it does not; when they are not, every check
+answers unsatisfiable, as a search over all of them would.
 """
 
 from __future__ import annotations
@@ -356,13 +358,20 @@ class _Background:
         for i, p in enumerate(self.parts):
             for a in p.atoms:
                 self.index.setdefault(a, []).append(i)
+        # one confirmed model decides sat: try all atoms False before searching
+        none = {key: False for p in self.parts for key in p.atoms.values()}
+        self.sat = all(eval_residual(p.residual, none) for p in self.parts) or self._searched()
+
+    def _searched(self) -> bool:
+        """Whether every component of the conjuncts has a model."""
         done: set[int] = set()
-        self.sat = True
         for i, p in enumerate(self.parts):
-            if self.sat and i not in done:
+            if i not in done:
                 component = self.component(p.atoms) or [i]
                 done.update(component)
-                self.sat = _confirmed([self.parts[j] for j in component])
+                if not _confirmed([self.parts[j] for j in component]):
+                    return False
+        return True
 
     def component(self, atoms) -> list[int]:
         """Positions of the conjuncts connected to ``atoms``, in order."""
@@ -379,13 +388,16 @@ class _Background:
 
 class _Audit:
     """One verdict's view: the background of its constraint tuple, kept in
-    ``_audit_cache`` under the tuple's ``id``, plus the atom ids and
-    compiled bodies the certificate brings, dropped with the view."""
+    ``_audit_cache`` under the tuple's ``id`` only if that tuple is the
+    contract's own, plus the atom ids and compiled bodies the certificate
+    brings, dropped with the view."""
 
     def __init__(self, defs: DefinitionSet, constraints: tuple[Formula, ...] = ()):
         background = defs._audit_cache.get(id(constraints))
         if background is None:
-            background = defs._audit_cache[id(constraints)] = _Background(constraints, defs)
+            background = _Background(constraints, defs)
+            if constraints is defs.constraints:  # another tuple's record dies with the view
+                defs._audit_cache[id(constraints)] = background
         self.defs, self.background, self.ids, self.compiled = defs, background, {}, {}
 
     def id_of(self, key: str) -> int:

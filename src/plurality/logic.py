@@ -113,14 +113,18 @@ class FalseF(Formula):
     pass
 
 
+class _Keyed(Formula):
+    __slots__ = ("_key",)  # atom_key's text: a slot, not a field, so never built or compared
+
+
 @dataclass(frozen=True, slots=True)
-class Atom(Formula):
+class Atom(_Keyed):
     name: str
     args: tuple[Term, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
-class Cmp(Formula):
+class Cmp(_Keyed):
     op: str  # "=", "!=", "<", "<=", ">", ">="
     lhs: Term
     rhs: Term
@@ -207,13 +211,8 @@ def formula_text(f: Formula) -> str:
         return "true"
     if isinstance(f, FalseF):
         return "false"
-    if isinstance(f, Atom):
-        if not f.args:
-            return f.name
-        inner = ", ".join(term_text(a) for a in f.args)
-        return f"{f.name}({inner})"
-    if isinstance(f, Cmp):
-        return f"({term_text(f.lhs)} {f.op} {term_text(f.rhs)})"
+    if isinstance(f, _Keyed):
+        return atom_key(f)
     if isinstance(f, Not):
         return "!" + formula_text(f.sub)
     if isinstance(f, And):
@@ -227,6 +226,19 @@ def formula_text(f: Formula) -> str:
     if isinstance(f, Exists):
         return f"(exists {f.var} in {f.domain} . {formula_text(f.body)})"
     raise TypeError(f"not a formula: {f!r}")
+
+
+def atom_key(f: Atom | Cmp) -> str:
+    """Canonical text of an atom or comparison, rendered once per node."""
+    try:
+        return f._key
+    except AttributeError:
+        if type(f) is Cmp:
+            key = f"({term_text(f.lhs)} {f.op} {term_text(f.rhs)})"
+        else:
+            key = f"{f.name}({', '.join(map(term_text, f.args))})" if f.args else f.name
+        object.__setattr__(f, "_key", key)  # past the frozen class's __setattr__
+        return key
 
 
 def claim_text(c: Claim) -> str:
@@ -285,10 +297,10 @@ class DefinitionSet:
     first-occurrence order and its non-tautological clauses over local
     1-based atom ids.  Consistency checks keep the claims each block id
     adds with their atom keys (``_block_claims``).  ``_audit_cache``
-    maps the ``id`` of each constraint tuple a certificate check passes
-    to the auditor's immutable record of it; the record keeps its tuple
-    alive, so no id is reused while it is cached.  ``constraint_texts``
-    and ``constraint_clause_atoms`` are computed on first use.
+    holds the auditor's immutable record of ``constraints`` under that
+    tuple's ``id``; a check against any other tuple builds its own record
+    and drops it.  ``constraint_texts`` and ``constraint_clause_atoms``
+    are computed on first use.
     """
 
     domains: dict[str, tuple[Value, ...]] = field(default_factory=dict)
@@ -528,8 +540,8 @@ def _expand(f, defs, env, stack) -> Formula:
         return f
     if isinstance(f, (Atom, Cmp)):
         g = _ground_atom(f, defs, env, stack)
-        if type(g) is list:
-            return Atom(f.name, tuple(g))
+        if type(g) is list:  # a ground atom keeps its node, and so its key
+            return f if all(map(operator.is_, g, f.args)) else Atom(f.name, tuple(g))
         return _expand(g[0], defs, g[1], g[2]) if type(g) is tuple else g
     # definitions can stack negations and chains past the nesting bound: loop, as _cnf does
     if isinstance(f, Not):
@@ -642,11 +654,6 @@ def _norm_term(t, defs, env, stack) -> Term:
 
 # ---------------------------------------------------------------------------
 # Residual formulas as propositional structures
-
-
-def atom_key(f: Formula) -> str:
-    """Canonical identity of one residual atomic formula."""
-    return formula_text(f)
 
 
 def residual_atoms(f: Formula) -> list[str]:

@@ -739,34 +739,28 @@ class _FileParser(_Parser):
         return ClosedGuard(f)
 
     def _require_computable(self, f: Formula):
-        """Closed guards may only mention symbols the chain can value."""
+        """Closed guards may only mention symbols the chain can value.
 
-        def bad(term: Term):
-            if isinstance(term, FnApp):
-                fd = self.defs.functions.get(term.name)
+        An explicit stack, next part on top, walks the parts in reading
+        order, so the first uncomputable function is the one named."""
+        todo: list = [f]
+        while todo:
+            g = todo.pop()
+            if isinstance(g, FnApp):
+                fd = self.defs.functions.get(g.name)
                 if fd is not None and fd.kind == "uninterpreted":
-                    raise UncomputableGuard(
-                        f"closed guard uses uninterpreted function {term.name!r}"
-                    )
-                for a in term.args:
-                    bad(a)
-
-        def walk(g: Formula):
-            if isinstance(g, Atom):
-                for a in g.args:
-                    bad(a)
+                    raise UncomputableGuard(f"closed guard uses uninterpreted function {g.name!r}")
+                todo += reversed(g.args)
+            elif isinstance(g, Atom):
+                todo += reversed(g.args)
             elif isinstance(g, Cmp):
-                bad(g.lhs)
-                bad(g.rhs)
+                todo += (g.rhs, g.lhs)
             elif isinstance(g, Not):
-                walk(g.sub)
+                todo.append(g.sub)
             elif isinstance(g, (And, Or, Implies)):
-                walk(g.lhs)
-                walk(g.rhs)
+                todo += (g.rhs, g.lhs)
             elif isinstance(g, (ForAll, Exists)):
-                walk(g.body)
-
-        walk(f)
+                todo.append(g.body)
 
     # -- scenario statements ----------------------------------------------
 

@@ -36,6 +36,7 @@ from plurality.logic import (
     Not,
     ProofStep,
     Refutation,
+    ResourceLimit,
     formula_text,
     brute_force_satisfiable,
     minimize_conflict,
@@ -662,3 +663,73 @@ def test_certificates_leave_nothing_behind_in_the_contract_cache():
     assert defs._audit_cache == {id(defs.constraints): background}
     assert [len(table) for table in (background.ids, background.parts, background.index)] == sizes
     assert {None, "ReplayFailed", "NotMinimal"} <= set(verdicts)
+
+
+def test_a_check_against_another_tuple_keeps_no_record():
+    scenario, certs = claims_12x3()
+    defs = scenario.contract.defs
+    check_certificate(certs[0], defs.constraints, defs)
+    (background,) = defs._audit_cache.values()
+    for _ in range(200):
+        check_certificate(certs[0], tuple(list(defs.constraints)), defs)
+    assert defs._audit_cache == {id(defs.constraints): background}
+
+
+def direct_certificate(ctx, candidate: str, cited: int):
+    """Candidate ``candidate``, no conflict, and a proof that resolves the
+    candidate's unit clause against the opposite unit of the contract's
+    constraint ``cited``."""
+    body = parse_formula(candidate, ctx)
+    key = formula_text(body.sub if isinstance(body, Not) else body)
+    sign = -1 if isinstance(body, Not) else 1
+    steps = (
+        ProofStep("input", (sign,), source=("candidate",)),
+        ProofStep("input", (-sign,), source=("constraint", 0)),
+        ProofStep("resolve", (), premises=(0, 1)),
+    )
+    refutation = Refutation(Not(body), (), (ctx.defs.constraints[cited],), (key,), steps)
+    return DiscordCertificate(Claim("O", body), (), refutation)
+
+
+def counted_searches(monkeypatch) -> list:
+    searched = []
+    real = certificates._search
+    monkeypatch.setattr(certificates, "_search", lambda nodes, asg: searched.append(1) or real(nodes, asg))
+    return searched
+
+
+def test_constraints_the_all_false_assignment_violates_are_decided_by_search(monkeypatch):
+    searched = counted_searches(monkeypatch)
+    defs = parse_contract("atom p\natom q\nconstraint p | q\n").defs
+    assert _Audit(defs, defs.constraints).background.sat and len(searched) == 1
+    defs = parse_contract("atom p\nconstraint !p\n").defs
+    assert _Audit(defs, defs.constraints).background.sat and len(searched) == 1
+    # contradictory constraints: every member looks redundant, as before
+    ctx = parse_contract("oracle O\natom p\nconstraint p\nconstraint !p\n")
+    cert = direct_certificate(ctx, "!p", 0)
+    with pytest.raises(NotMinimal, match="already contradictory without claim O: !p"):
+        check_certificate(cert, ctx.defs.constraints, ctx.defs)
+    assert not _Audit(ctx.defs, ctx.defs.constraints).background.sat
+
+
+PIGEONHOLE = (
+    "((forall i in Pigeons . (exists h in Holes . sits(i, h))) & (forall h in Holes ."
+    " (forall i in Pigeons . (forall j in Pigeons . ((i < j) -> !(sits(i, h) & sits(j, h)))))))"
+)
+
+
+def test_a_constraint_the_all_false_assignment_satisfies_is_not_searched(monkeypatch):
+    # a search branches on z first, True first, and PHP(9, 8) then takes
+    # more than MAX_SEARCH_STEPS steps: the all-false witness decides it
+    ctx = parse_contract(
+        "oracle O\ndomain One = { 1 }\ndomain Pigeons = { 1, 2, 3, 4, 5, 6, 7, 8, 9 }\n"
+        "domain Holes = { 1, 2, 3, 4, 5, 6, 7, 8 }\natom r(x)\natom z\natom sits(pigeon, hole)\n"
+        f"constraint forall x in One . !r(x)\nconstraint z -> {PIGEONHOLE}\n"
+    )
+    searched = counted_searches(monkeypatch)
+    check_certificate(direct_certificate(ctx, "r(1)", 0), ctx.defs.constraints, ctx.defs)
+    assert len(searched) == 1  # the minimality probe's, over no atoms
+    background = _Audit(ctx.defs, ctx.defs.constraints).background
+    assert background.sat
+    with pytest.raises(ResourceLimit):  # what deciding sat by search meets
+        certificates._search([p.node for p in background.parts], {})

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plurality import certificates
+from plurality import certificates, logic
 from plurality.cli import (
     EXIT_DISCORD,
     EXIT_ERROR,
@@ -487,8 +487,8 @@ def test_check_certificate_gives_up_on_a_pigeonhole_member_within_its_budget(cap
     budget = certificates.MAX_SEARCH_STEPS
     assert (code, out) == (EXIT_ERROR, "")
     assert err == f"plurality: cannot audit certificate: the audit's search took more than {budget} steps\n"
-    # one step decides the constraint alone, then the probe spends the budget
-    assert len(propagated) == 1 + budget
+    # the all-false witness decides the constraint alone, then the probe spends the budget
+    assert len(propagated) == budget
 
 
 ENGINE_CODE = (
@@ -543,6 +543,36 @@ def test_check_certificate_runs_no_engine_code(tmp_path, capsys, monkeypatch):
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(tampered))
         assert run_cli(capsys, "check-certificate", str(path), scenario)[0] == want
+
+
+def term_nodes(t) -> int:
+    """The terms of ``t``, itself included: the ``term_text`` calls one rendering makes."""
+    return 1 + sum(map(term_nodes, getattr(t, "args", ())))
+
+
+def test_check_certificate_renders_each_atom_node_once(capsys, monkeypatch):
+    # every term_text call runs under atom_key; charge it to that frame's node
+    renders: dict[int, list] = {}  # id -> [node, calls]; the node is kept so no id is reused
+    real = logic.term_text
+
+    def counting(t):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not logic.atom_key.__code__:
+            frame = frame.f_back
+        assert frame is not None, f"{real(t)} rendered outside atom_key"
+        node = frame.f_locals["f"]
+        renders.setdefault(id(node), [node, 0])[1] += 1
+        return real(t)
+
+    monkeypatch.setattr(logic, "term_text", counting)
+    golden = sorted(GOLDEN.glob("*.cert-*.json"))
+    for cert in golden:
+        scenario = SCENARIOS / f"{cert.name.split('.')[0]}.plu"
+        assert run_cli(capsys, "check-certificate", str(cert), str(scenario))[0] == EXIT_OK, cert.name
+    assert len(golden) == 12 and len(renders) > 50
+    for node, calls in renders.values():
+        args = (node.lhs, node.rhs) if isinstance(node, logic.Cmp) else node.args
+        assert calls == sum(map(term_nodes, args)), logic.formula_text(node)
 
 
 def test_check_certificate_rejects_malformed_file(tmp_path, capsys):

@@ -342,6 +342,24 @@ def test_expand_folds_rigid_subterms():
     assert ground_expand(g, d) == Cmp("<", BalanceOf("W"), IntLit(10))
 
 
+def test_expansion_keeps_a_ground_atom_node_and_its_key():
+    d = basic_defs()
+    for atom in (Atom("p"), Atom("paid", (Constant("A"),)), Atom("license", (AgentRef("A"),))):
+        assert ground_expand(atom, d) is atom
+        assert ground_expand(Not(atom), d).sub is atom
+    # an argument that grounds to another term gives a new, equal node
+    direct = Atom("paid", (Constant("A"),))
+    unfolded = Atom("paid", (FnApp("as_grate", (Constant("A"),)),))
+    bound = ForAll("x", "Kids", Atom("paid", (Var("x"),)))
+    for f in (unfolded, bound):
+        got = ground_expand(f, d)
+        got = got.lhs if isinstance(got, And) else got
+        assert got == direct and got is not direct and got is not f
+    # the key is rendered on first use and kept on the node
+    assert atom_key(direct) == "paid(A)" and atom_key(direct) is atom_key(direct)
+    assert atom_key(ground_expand(direct, d)) is atom_key(direct)
+
+
 def random_model(rng: random.Random, d: DefinitionSet) -> Model:
     asserted = set()
     for kid in d.domains["Kids"]:

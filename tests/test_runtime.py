@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -878,6 +880,27 @@ def test_scheduler_folds_each_head_once_on_a_chain(monkeypatch, cls, folds):
     assert all(r.stage == PUBLISHED for r in eng.records.values())
     # one fold per pass; the naive pass folds again for the validation
     assert len(calls) == folds * n + 1
+
+
+def test_parsing_and_running_leave_no_cyclic_garbage():
+    # a cycle through the parser would hold its tokens and text, and the
+    # scenario, until a collection runs
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    sources = [(p.stem, p.read_text()) for p in sorted(scenarios.glob("*.plu"))]
+    sources += [("chain-300", chain_source(300)), ("claims-48x4", claims_source(48, 4))]
+    assert len(sources) == 11
+    gc.collect()
+    gc.disable()
+    try:
+        for name, source in sources:
+            eng = Engine(parse_scenario(source, name=name))
+            trace_text(eng.run())
+            for cert in eng.certificates:
+                certificate_to_text(cert)
+            del eng
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 class CountingRecords(dict):

@@ -170,6 +170,21 @@ def test_uninterpreted_functions_allowed_in_claims_only():
 
 
 @pytest.mark.parametrize(
+    "guard,first",
+    [
+        ("(k(u(1), v(2)) = 1) & (w(3) = 1)", "u"),
+        ("(k(1, v(2)) = u(1)) | (w(3) = 1)", "v"),
+        ("!(exists x in D . w(x) = 1) -> (u(1) = 2)", "w"),
+        ("forall x in D . (k(x, 1) = 1) & !(v(x) = u(x))", "v"),
+    ],
+)
+def test_an_uncomputable_guard_names_its_first_uninterpreted_function(guard, first):
+    head = "agent A\nagent B\ndomain D = { 1 }\nfunction k(x, y) = x\nfunction u(x)\nfunction v(x)\nfunction w(x)\n"
+    with pytest.raises(UncomputableGuard, match=f"uninterpreted function '{first}'"):
+        parse_contract(head + f"issue x = tx A -(1)[{guard}]-> B\n")
+
+
+@pytest.mark.parametrize(
     "source,err",
     [
         ("agent A\nagent A\n", DuplicateAgent),
